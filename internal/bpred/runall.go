@@ -112,7 +112,7 @@ func RunAll(preds []Predictor, tr *tracestore.Packed) []Result {
 // the runners, so the instance's visible state afterwards is
 // bit-identical to the scalar stepper's. Returns ok=false — caller
 // falls back to the scalar kernel — when any machine has no block
-// table (kernel disabled or over the state bound).
+// table (over the state bound).
 func runCustomBlocked(c *Custom, tr *tracestore.Packed) (Result, bool) {
 	tabs := make([]*fsm.BlockTable, len(c.entries))
 	for i, e := range c.entries {
@@ -148,7 +148,7 @@ func runCustomBlocked(c *Custom, tr *tracestore.Packed) (Result, bool) {
 			// own occurrences.
 			if w := winner[i]; w >= 0 {
 				sub := tr.SubOf(w)
-				r, end := tabs[i].RunFrom(state, sub.Outcomes.Words(), sub.Outcomes.Len(), 0)
+				r, end := tabs[i].RunFrom(state, sub.Outcomes.Words(), sub.Outcomes.Len(), 0, nil)
 				misses += r.Total - r.Correct
 				c.runners[i].SetState(end)
 			}
@@ -161,7 +161,7 @@ func runCustomBlocked(c *Custom, tr *tracestore.Packed) (Result, bool) {
 		if w := winner[i]; w >= 0 {
 			pos = tr.SubOf(w).Pos
 		}
-		m, end := tabs[i].RunSampledSpans(state, words, n, pos, tr.SpanIndex())
+		m, end := tabs[i].RunSampled(state, words, n, pos, tr.SpanIndex())
 		misses += m
 		c.runners[i].SetState(end)
 	}
@@ -284,7 +284,7 @@ func RunCustomPrefixesParallel(entries []*CustomEntry, tr *tracestore.Packed, wo
 		if !ok {
 			return 0, nil
 		}
-		m, _ := tabs[i].RunSampledSpans(tabs[i].StartState(), words, events, tr.SubOf(id).Pos, tr.SpanIndex())
+		m, _ := tabs[i].RunSampled(tabs[i].StartState(), words, events, tr.SubOf(id).Pos, tr.SpanIndex())
 		return m, nil
 	})
 

@@ -254,18 +254,59 @@ func TestRunCustomPrefixesMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesRunKernelOff repeats the RunAll differential with the
-// block kernel disabled, covering the scalar stepper fallback.
+// oversized returns a behaviourally identical copy of m padded with
+// unreachable states past the 256-state block-table bound, so every
+// simulation of it takes the scalar fallback.
+func oversized(m *fsm.Machine) *fsm.Machine {
+	big := m.Clone()
+	for s := big.NumStates(); s <= 256; s++ {
+		big.Output = append(big.Output, false)
+		big.Next = append(big.Next, [2]int{s, s})
+	}
+	return big
+}
+
+// TestRunAllMatchesRunKernelOff repeats the RunAll differential for
+// custom predictors whose machines exceed the block-table bound — the
+// real trigger of the scalar stepper fallback — under both update
+// policies, and checks the prefix sweep's fallback the same way. The
+// padding is unreachable, so results must also equal the tabled
+// originals'.
 func TestRunAllMatchesRunKernelOff(t *testing.T) {
-	defer fsm.SetBlockKernel(fsm.SetBlockKernel(false))
+	t.Parallel()
 	train := benchEvents(t, "gsm", workload.Train, 10_000)
 	test := benchEvents(t, "gsm", workload.Test, 10_000)
 	packed := tracestore.Pack(test)
-	for name, mk := range predictorMatrix(t, train) {
-		got := RunAll([]Predictor{mk()}, packed)
-		want := Run(mk(), test)
-		if got[0] != want {
-			t.Errorf("%s: RunAll = %+v, Run = %+v", name, got[0], want)
+	entries, err := TrainCustom(train, TrainOptions{MaxEntries: 4, Order: 5, MinExecutions: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([]*CustomEntry, len(entries))
+	for i, e := range entries {
+		big[i] = &CustomEntry{Tag: e.Tag, Machine: oversized(e.Machine)}
+		if fsm.BlockTableFor(big[i].Machine) != nil {
+			t.Fatalf("entry %d: padded machine still has a block table", i)
+		}
+	}
+	for _, matchedOnly := range []bool{false, true} {
+		mk := func(es []*CustomEntry) Predictor {
+			c := NewCustom(es)
+			c.UpdateMatchedOnly = matchedOnly
+			return c
+		}
+		got := RunAll([]Predictor{mk(big)}, packed)
+		if want := Run(mk(big), test); got[0] != want {
+			t.Errorf("matchedOnly=%v: RunAll = %+v, Run = %+v", matchedOnly, got[0], want)
+		}
+		if tabled := RunAll([]Predictor{mk(entries)}, packed); got[0] != tabled[0] {
+			t.Errorf("matchedOnly=%v: scalar fallback %+v, block kernel %+v", matchedOnly, got[0], tabled[0])
+		}
+	}
+	got := RunCustomPrefixesParallel(big, packed, 2)
+	want := RunCustomPrefixesParallel(entries, packed, 2)
+	for k := range want {
+		if got[k] != want[k] {
+			t.Errorf("prefix %d: scalar fallback %+v, block kernel %+v", k+1, got[k], want[k])
 		}
 	}
 }

@@ -76,9 +76,9 @@ func EvaluateGlobalStreams(cs *tracestore.ConfStreams, est counters.Predictor) R
 // estimator, replayed through the machine's block table: per segment,
 // one ReplayGated pass scores flagged/flagged-correct 8 events per
 // lookup, and accesses/correct reduce to word popcounts over the
-// packed valid and correct streams. Falls back to the generic
-// bit-at-a-time replay — the differential oracle — when the block
-// kernel is unavailable.
+// packed valid and correct streams; a segment's run index takes the
+// span path. Falls back to the generic bit-at-a-time replay — the
+// differential oracle — for a machine over the block-table bound.
 func EvaluateStreamsMachine(cs *tracestore.ConfStreams, m *fsm.Machine) Result {
 	t := fsm.BlockTableFor(m)
 	if t == nil {
@@ -88,7 +88,7 @@ func EvaluateStreamsMachine(cs *tracestore.ConfStreams, m *fsm.Machine) Result {
 	for _, seg := range cs.Segments {
 		n := seg.Valid.Len()
 		cw, vw := seg.Correct.Words(), seg.Valid.Words()
-		flagged, flaggedCorrect, err := t.ReplayGatedSpans(cw, vw, n, seg.Spans)
+		flagged, flaggedCorrect, err := t.ReplayGated(cw, vw, n, seg.Spans)
 		if err != nil {
 			return EvaluateStreams(cs, func() counters.Predictor { return m.NewRunner() })
 		}
@@ -105,18 +105,15 @@ func EvaluateStreamsMachine(cs *tracestore.ConfStreams, m *fsm.Machine) Result {
 // pass (structurally identical machines dedup to one walk), and the
 // segment popcounts for Accesses/Correct — the same for every machine —
 // are computed once and shared. Falls back to per-machine evaluation
-// when the block kernel is off or a machine will not compile; both
+// when a machine will not compile (over the block-table bound); both
 // paths are pinned together by the package's differential tests.
 func EvaluateStreamsFleet(cs *tracestore.ConfStreams, machines []*fsm.Machine) []Result {
 	out := make([]Result, len(machines))
 	if len(machines) == 0 {
 		return out
 	}
-	var fl *fsm.Fleet
-	if fsm.BlockKernelEnabled() {
-		fl, _ = fsm.NewFleet(machines)
-	}
-	if fl == nil {
+	fl, err := fsm.NewFleet(machines)
+	if err != nil {
 		for i, m := range machines {
 			out[i] = EvaluateStreamsMachine(cs, m)
 		}
@@ -125,7 +122,7 @@ func EvaluateStreamsFleet(cs *tracestore.ConfStreams, machines []*fsm.Machine) [
 	for _, seg := range cs.Segments {
 		n := seg.Valid.Len()
 		cw, vw := seg.Correct.Words(), seg.Valid.Words()
-		flagged, flaggedCorrect, err := fl.ReplayGatedSpans(cw, vw, n, seg.Spans)
+		flagged, flaggedCorrect, err := fl.ReplayGated(cw, vw, n, seg.Spans)
 		if err != nil {
 			for i, m := range machines {
 				out[i] = EvaluateStreamsMachine(cs, m)

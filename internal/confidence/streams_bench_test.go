@@ -6,7 +6,6 @@ import (
 
 	"fsmpredict/internal/bitseq"
 	"fsmpredict/internal/counters"
-	"fsmpredict/internal/fsm"
 	"fsmpredict/internal/tracestore"
 	"fsmpredict/internal/workload"
 )
@@ -32,14 +31,19 @@ func BenchmarkReplayGatedSpans(b *testing.B) {
 			covered += bitseq.RunsCovered(seg.Spans)
 			total += seg.Correct.Len()
 		}
-		for _, span := range []bool{false, true} {
-			label := "off"
-			if span {
-				label = "on"
-			}
-			b.Run(fmt.Sprintf("%s/span=%s", name, label), func(b *testing.B) {
-				prev := fsm.SetSpanKernel(span)
-				defer fsm.SetSpanKernel(prev)
+		// span=off replays the same segments with their run indexes
+		// dropped, so the identical call walks the byte kernel.
+		unindexed := &tracestore.ConfStreams{Valid: cs.Valid, Correct: cs.Correct}
+		for _, seg := range cs.Segments {
+			seg.Spans = nil
+			unindexed.Segments = append(unindexed.Segments, seg)
+		}
+		for _, v := range []struct {
+			label string
+			cs    *tracestore.ConfStreams
+		}{{"off", unindexed}, {"on", cs}} {
+			cs := v.cs
+			b.Run(fmt.Sprintf("%s/span=%s", name, v.label), func(b *testing.B) {
 				b.SetBytes(int64(total) / 8)
 				b.ReportMetric(float64(covered)/float64(total), "coverage")
 				for i := 0; i < b.N; i++ {

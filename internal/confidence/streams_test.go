@@ -93,7 +93,8 @@ func TestSUDSweepStreamsMatches(t *testing.T) {
 // TestEvaluateStreamsMachineMatches is the block-kernel differential
 // test: the gated byte-blocked replay must be tally-for-tally
 // identical to the generic per-bit estimator replay, for both counter
-// machines and the scalar fallback with the kernel disabled.
+// machines and the scalar fallback a machine over the block-table
+// bound takes.
 func TestEvaluateStreamsMachineMatches(t *testing.T) {
 	_, cs := streamFixtures(t)
 	for _, cfg := range counters.PaperSweep()[:12] {
@@ -109,20 +110,36 @@ func TestEvaluateStreamsMachineMatches(t *testing.T) {
 			t.Fatalf("config %v: SUD %+v, machine runner %+v", cfg, asCounter, want)
 		}
 	}
-	prev := fsm.SetBlockKernel(false)
-	defer fsm.SetBlockKernel(prev)
-	cfg := counters.PaperSweep()[0]
-	m := cfg.Machine()
-	want := EvaluateStreams(cs, func() counters.Predictor { return m.NewRunner() })
-	if got := EvaluateStreamsMachine(cs, m); got != want {
-		t.Fatalf("kernel off: %+v, want %+v", got, want)
+	// The scalar fallback, reached through its real trigger: a machine
+	// over the block-table bound.
+	m := counters.PaperSweep()[0].Machine()
+	big := oversized(m)
+	if fsm.BlockTableFor(big) != nil {
+		t.Fatal("padded machine still has a block table")
 	}
+	want := EvaluateStreams(cs, func() counters.Predictor { return m.NewRunner() })
+	if got := EvaluateStreamsMachine(cs, big); got != want {
+		t.Fatalf("oversized machine: %+v, want %+v", got, want)
+	}
+}
+
+// oversized returns a behaviourally identical copy of m padded with
+// unreachable states past the 256-state block-table bound, so every
+// replay of it takes the scalar fallback.
+func oversized(m *fsm.Machine) *fsm.Machine {
+	big := m.Clone()
+	for s := big.NumStates(); s <= 256; s++ {
+		big.Output = append(big.Output, false)
+		big.Next = append(big.Next, [2]int{s, s})
+	}
+	return big
 }
 
 // TestEvaluateStreamsFleetMatches pins the batched fleet replay to the
 // per-machine path: every machine of a mixed set (counter machines,
 // including structural duplicates) must score exactly as it does alone,
-// with the kernel on and off.
+// both on the fleet and, when one machine is over the block-table bound,
+// on the per-machine fallback.
 func TestEvaluateStreamsFleetMatches(t *testing.T) {
 	_, cs := streamFixtures(t)
 	var machines []*fsm.Machine
@@ -131,7 +148,7 @@ func TestEvaluateStreamsFleetMatches(t *testing.T) {
 	}
 	// A structural duplicate: dedup must not change its result.
 	machines = append(machines, counters.PaperSweep()[0].Machine())
-	check := func(label string) {
+	check := func(label string, machines []*fsm.Machine) {
 		t.Helper()
 		got := EvaluateStreamsFleet(cs, machines)
 		if len(got) != len(machines) {
@@ -146,10 +163,9 @@ func TestEvaluateStreamsFleetMatches(t *testing.T) {
 			t.Fatalf("%s: duplicate machines disagree: %+v vs %+v", label, got[0], got[len(got)-1])
 		}
 	}
-	check("kernel on")
-	prev := fsm.SetBlockKernel(false)
-	defer fsm.SetBlockKernel(prev)
-	check("kernel off")
+	check("fleet", machines)
+	withBig := append([]*fsm.Machine{oversized(machines[0])}, machines...)
+	check("fallback", withBig)
 }
 
 // TestEvaluateStreamsMachineAllocs guards the blocked replay's

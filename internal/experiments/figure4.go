@@ -111,12 +111,13 @@ type sampledEntry struct {
 // customMissRates scores every sampled machine over its program's
 // training trace in the update-all replay. Machines are grouped by
 // program and each group runs as ONE fleet pass (one trace read for the
-// whole group) when the block kernel is on; with the kernel off each
-// machine replays through the scalar bit-at-a-time oracle, and the two
-// paths are bit-identical (the figure-level kernel on/off test covers
-// this field like every other). With adaptive on, each group's exact
-// result vector is served from the sweep memo on repeats — legal
-// precisely because the two simulation paths agree bit for bit.
+// whole group); a group holding a machine over the block-table bound
+// replays each machine through the scalar bit-at-a-time oracle
+// instead, and the two paths are bit-identical (the figure-level
+// pinned results cover this field like every other). With adaptive on,
+// each group's exact result vector is served from the sweep memo on
+// repeats — legal precisely because the two simulation paths agree bit
+// for bit.
 func customMissRates(sampled []sampledEntry, adaptive bool) []float64 {
 	rates := make([]float64, len(sampled))
 	groups := make(map[*tracestore.Packed][]int)
@@ -157,12 +158,9 @@ func customMissRates(sampled []sampledEntry, adaptive bool) []float64 {
 			}
 		}
 		var misses []int
-		if fsm.BlockKernelEnabled() {
-			if fl, err := fsm.NewFleet(machines); err == nil {
-				misses = fl.RunSampled(words, n, pos)
-			}
-		}
-		if misses == nil {
+		if fl, err := fsm.NewFleet(machines); err == nil {
+			misses = fl.RunSampled(words, n, pos)
+		} else {
 			misses = make([]int, len(machines))
 			for k, m := range machines {
 				misses[k], _ = m.RunSampledScalar(m.Start, words, n, pos[k])

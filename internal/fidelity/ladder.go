@@ -259,7 +259,7 @@ func (l *Ladder) tierEstimates(ti tier, tabs []*fsm.BlockTable) []float64 {
 	}
 	fl := fsm.FleetOfTables(tabs)
 	for _, w := range ti.wins {
-		rs := fl.RunParallelSpans(l.cfg.Workers, l.words[w.off>>6:], l.winLen, w.skip, nil)
+		rs := fl.Run(l.cfg.Workers, l.words[w.off>>6:], l.winLen, w.skip, nil)
 		for i, r := range rs {
 			est[i] += w.weight * r.MissRate()
 		}
@@ -330,7 +330,7 @@ func (l *Ladder) race(tabs []*fsm.BlockTable, keep func(alive []int, verdicts []
 		sub[j] = tabs[i]
 	}
 	fl := fsm.FleetOfTables(sub)
-	rs := fl.RunParallelSpans(l.cfg.Workers, l.words, l.n, l.cfg.Warmup, l.runs)
+	rs := fl.Run(l.cfg.Workers, l.words, l.n, l.cfg.Warmup, l.runs)
 	l.stats.RungEvals += len(alive)
 	rungEvals.Add(uint64(len(alive)))
 	for j, i := range alive {
@@ -420,7 +420,7 @@ func (l *Ladder) ScoreExact(tabs []*fsm.BlockTable) []float64 {
 		return out
 	}
 	fl := fsm.FleetOfTables(tabs)
-	rs := fl.RunParallelSpans(l.cfg.Workers, l.words, l.n, l.cfg.Warmup, l.runs)
+	rs := fl.Run(l.cfg.Workers, l.words, l.n, l.cfg.Warmup, l.runs)
 	for i, r := range rs {
 		out[i] = r.MissRate()
 	}

@@ -16,10 +16,12 @@ import (
 // (NumStates × 256 entries) so simulation consumes the stream a byte
 // per lookup instead of a bit per branch, and a byte's mispredictions
 // reduce to one XOR and one popcount against the table's prediction
-// mask. The per-bit Simulate/Runner walks remain as the differential
-// oracles; every kernel here is bit-identical to them by construction
-// (the table is built by composing the machine's own 2-symbol table,
-// never by re-deriving behaviour) and by the package's fuzz tests.
+// mask. The per-bit SimulateScalar/RunSampledScalar walks remain as
+// the differential oracles (and the fallback for machines over the
+// table bound); every kernel here is bit-identical to them by
+// construction (the table is built by composing the machine's own
+// 2-symbol table, never by re-deriving behaviour) and by the package's
+// fuzz tests.
 
 // blockShift is the log2 of the block width: kernels consume the input
 // 8 events at a time. Eight is the sweet spot — the table for an
@@ -74,20 +76,15 @@ func CompileBlockTable(m *Machine) (*BlockTable, error) {
 	if n > maxBlockStates {
 		return nil, fmt.Errorf("fsm: %d states exceed the %d-state block-table bound", n, maxBlockStates)
 	}
-	t := &BlockTable{
-		step:  make([]uint8, 2*n),
-		out:   make([]uint8, n),
-		start: uint8(m.Start),
-		src:   m.Clone(),
-	}
+	step := make([]uint8, 2*n)
+	out := make([]uint8, n)
 	for s := 0; s < n; s++ {
-		t.step[s<<1] = uint8(m.Next[s][0])
-		t.step[s<<1|1] = uint8(m.Next[s][1])
+		step[s<<1] = uint8(m.Next[s][0])
+		step[s<<1|1] = uint8(m.Next[s][1])
 		if m.Output[s] {
-			t.out[s] = 1
+			out[s] = 1
 		}
 	}
-	t.span = newSpanTable(t.step, t.out)
 	// Build T_8 by doubling composition from the 2-symbol table:
 	// T_2k[s][v] runs the low k bits through T_k, then the high k bits
 	// from the intermediate state, OR-ing the prediction masks. Each
@@ -96,10 +93,10 @@ func CompileBlockTable(m *Machine) (*BlockTable, error) {
 	next := make([]uint8, 2*n)
 	mask := make([]uint8, 2*n)
 	for s := 0; s < n; s++ {
-		next[s<<1] = t.step[s<<1]
-		next[s<<1|1] = t.step[s<<1|1]
-		mask[s<<1] = t.out[s]
-		mask[s<<1|1] = t.out[s]
+		next[s<<1] = step[s<<1]
+		next[s<<1|1] = step[s<<1|1]
+		mask[s<<1] = out[s]
+		mask[s<<1|1] = out[s]
 	}
 	for k := 1; k < blockShift; k *= 2 {
 		wide := 2 * k
@@ -118,11 +115,25 @@ func CompileBlockTable(m *Machine) (*BlockTable, error) {
 		}
 		next, mask = nn, nm
 	}
-	t.tab = make([]uint16, n<<blockShift)
-	for i := range t.tab {
-		t.tab[i] = uint16(next[i]) | uint16(mask[i])<<8
+	tab := make([]uint16, n<<blockShift)
+	for i := range tab {
+		tab[i] = uint16(next[i]) | uint16(mask[i])<<8
 	}
-	return t, nil
+	return newBlockTable(tab, step, out, uint8(m.Start), m.Clone()), nil
+}
+
+// newBlockTable assembles a table from its parts — the one constructor
+// behind both compilation and the disk tier's decoder, so every table
+// carries its span-kernel shell whichever way it was built.
+func newBlockTable(tab []uint16, step, out []uint8, start uint8, src *Machine) *BlockTable {
+	return &BlockTable{
+		tab:   tab,
+		step:  step,
+		out:   out,
+		start: start,
+		span:  newSpanTable(step, out),
+		src:   src,
+	}
 }
 
 // NumStates returns the compiled machine's state count.
@@ -158,22 +169,24 @@ func (t *BlockTable) compiledFrom(m *Machine) bool {
 	return true
 }
 
-// SimulatePacked replays n events of a packed outcome stream (bit i of
-// words is event i, bitseq layout; bits at n and beyond must be zero)
-// from the start state, consuming the first skip events as unscored
-// warm-up. It is bit-identical to Machine.SimulateScalar on the
-// unpacked stream and allocates nothing.
-func (t *BlockTable) SimulatePacked(words []uint64, n, skip int) SimResult {
-	res, _ := t.RunFrom(t.StartState(), words, n, skip)
-	return res
-}
-
-// RunFrom is SimulatePacked from an arbitrary state, additionally
-// returning the exit state; it is the building block for stateful
-// replay (bpred runner banks advance mid-stream). n beyond the words'
-// bit capacity is clamped rather than trusted, so a caller passing an
-// over-long event count reads garbage from no one.
-func (t *BlockTable) RunFrom(state int, words []uint64, n, skip int) (SimResult, int) {
+// RunFrom replays n events of a packed outcome stream (bit i of words
+// is event i, bitseq layout; bits at n and beyond must be zero) from
+// the given state, consuming the first skip events as unscored warm-up,
+// and returns the tally and the exit state — the building block for
+// stateful replay (bpred runner banks advance mid-stream). Callers
+// replaying from the start use RunFrom(t.StartState(), …).
+//
+// The input selects the path: a nil or empty run index walks the byte
+// kernel; a run index (bitseq.Runs over the same words, any minimum run
+// length) walks the span kernel, which advances homogeneous runs in
+// O(log run) power-table lookups. Both are bit-identical to
+// Machine.SimulateScalar from the same state and allocate nothing. n
+// beyond the words' bit capacity is clamped rather than trusted, so a
+// caller passing an over-long event count reads garbage from no one.
+func (t *BlockTable) RunFrom(state int, words []uint64, n, skip int, runs []bitseq.Run) (SimResult, int) {
+	if len(runs) != 0 {
+		return t.runFromSpans(state, words, n, skip, runs)
+	}
 	n, skip = clampSpan(words, n, skip)
 	s := uint8(state)
 	i := 0
@@ -215,13 +228,20 @@ func (t *BlockTable) RunFrom(state int, words []uint64, n, skip int) (SimResult,
 	return res, int(s)
 }
 
-// RunSampled advances through all n events of the packed stream but
-// scores predictions only at the given positions (strictly ascending,
-// each in [0, n)) — the §7.3 update-all replay, where a per-branch
-// predictor trains on the global outcome stream yet predicts only its
-// own branch's occurrences. It returns the misprediction count over
-// the sampled positions and the exit state, and allocates nothing.
-func (t *BlockTable) RunSampled(state int, words []uint64, n int, pos []int32) (misses, end int) {
+// RunSampled advances through all n events of the packed stream from
+// the given state but scores predictions only at the given positions
+// (strictly ascending, each in [0, n)) — the §7.3 update-all replay,
+// where a per-branch predictor trains on the global outcome stream yet
+// predicts only its own branch's occurrences. It returns the
+// misprediction count over the sampled positions and the exit state,
+// bit-identical to Machine.RunSampledScalar, and allocates nothing. A
+// non-empty run index takes the span path (run stretches holding no
+// sampled position advance through the power tables); nil takes the
+// byte kernel.
+func (t *BlockTable) RunSampled(state int, words []uint64, n int, pos []int32, runs []bitseq.Run) (misses, end int) {
+	if len(runs) != 0 {
+		return t.runSampledSpans(state, words, n, pos, runs)
+	}
 	n, _ = clampSpan(words, n, 0)
 	s := uint8(state)
 	c := 0
@@ -251,14 +271,19 @@ func (t *BlockTable) RunSampled(state int, words []uint64, n int, pos []int32) (
 }
 
 // ReplayGated is the confidence-estimator replay: the machine steps on
-// every bit of the correctness stream, and positions whose valid bit
-// is set count toward flagged (machine predicted confident) and
-// flaggedCorrect (confident and the access was correct) — exactly the
-// per-segment loop of confidence.EvaluateStreams. Both streams carry n
-// bits in bitseq layout with zero padding past n; mismatched stream
-// lengths (or n beyond their capacity) are an explicit error, never a
-// silent truncation. Allocates nothing.
-func (t *BlockTable) ReplayGated(correct, valid []uint64, n int) (flagged, flaggedCorrect int, err error) {
+// every bit of the correctness stream from its start state, and
+// positions whose valid bit is set count toward flagged (machine
+// predicted confident) and flaggedCorrect (confident and the access
+// was correct) — exactly the per-segment loop of
+// confidence.EvaluateStreams. Both streams carry n bits in bitseq
+// layout with zero padding past n; mismatched stream lengths (or n
+// beyond their capacity) are an explicit error, never a silent
+// truncation. A non-empty run index over the correct stream takes the
+// span path, nil the byte kernel; both allocate nothing.
+func (t *BlockTable) ReplayGated(correct, valid []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect int, err error) {
+	if len(runs) != 0 {
+		return t.replayGatedSpans(correct, valid, n, runs)
+	}
 	n, err = checkGatedStreams(correct, valid, n)
 	if err != nil {
 		return 0, 0, err
@@ -349,7 +374,8 @@ type BlockRunner struct {
 }
 
 // NewBlockRunner returns a runner at the table's start state that will
-// consume the first skip fed events as unscored warm-up.
+// consume the first skip fed events as unscored warm-up. A runner
+// always walks the byte kernel: a stream fed in chunks has no run index.
 func NewBlockRunner(t *BlockTable, skip int) *BlockRunner {
 	if skip < 0 {
 		skip = 0

@@ -31,6 +31,40 @@ func randomBits(rng *rand.Rand, n int) *bitseq.Bits {
 	return b
 }
 
+// scalarRunFrom is the bit-at-a-time oracle for RunFrom: n events from
+// the given state, the first skip unscored, returning the tally and the
+// exit state.
+func scalarRunFrom(m *Machine, state int, bits *bitseq.Bits, n, skip int) (SimResult, int) {
+	var res SimResult
+	for i := 0; i < n; i++ {
+		b := bits.At(i)
+		if i >= skip {
+			res.Total++
+			if m.Output[state] == b {
+				res.Correct++
+			}
+		}
+		state = m.Step(state, b)
+	}
+	return res, state
+}
+
+// scalarReplayGated is the bit-at-a-time oracle for ReplayGated.
+func scalarReplayGated(m *Machine, correct, valid *bitseq.Bits, n int) (flagged, flaggedCorrect int) {
+	state := m.Start
+	for i := 0; i < n; i++ {
+		cb := correct.At(i)
+		if valid.At(i) && m.Output[state] {
+			flagged++
+			if cb {
+				flaggedCorrect++
+			}
+		}
+		state = m.Step(state, cb)
+	}
+	return flagged, flaggedCorrect
+}
+
 // TestSimulatePackedMatchesScalar sweeps machines, lengths and skips —
 // including every sub-byte ragged head/tail combination — against the
 // scalar oracle.
@@ -48,7 +82,7 @@ func TestSimulatePackedMatchesScalar(t *testing.T) {
 			bools := bits.Bools()
 			for _, skip := range []int{0, 1, 3, 8, 17, n / 2, n, n + 5} {
 				want := m.SimulateScalar(bools, skip)
-				got := tab.SimulatePacked(bits.Words(), n, skip)
+				got, _ := tab.RunFrom(tab.StartState(), bits.Words(), n, skip, nil)
 				if got != want {
 					t.Fatalf("states=%d n=%d skip=%d: packed %+v, scalar %+v", states, n, skip, got, want)
 				}
@@ -72,20 +106,8 @@ func TestRunFromMatchesScalarFromState(t *testing.T) {
 		start := rng.Intn(m.NumStates())
 		skip := rng.Intn(n + 2)
 
-		// Scalar walk from the same state.
-		state := start
-		var want SimResult
-		for i := 0; i < n; i++ {
-			b := bits.At(i)
-			if i >= skip {
-				want.Total++
-				if m.Output[state] == b {
-					want.Correct++
-				}
-			}
-			state = m.Step(state, b)
-		}
-		got, end := tab.RunFrom(start, bits.Words(), n, skip)
+		want, state := scalarRunFrom(m, start, bits, n, skip)
+		got, end := tab.RunFrom(start, bits.Words(), n, skip, nil)
 		if got != want || end != state {
 			t.Fatalf("trial %d: got %+v end %d, want %+v end %d", trial, got, end, want, state)
 		}
@@ -112,20 +134,8 @@ func TestRunSampledMatchesScalar(t *testing.T) {
 		}
 		start := rng.Intn(m.NumStates())
 
-		state := start
-		wantMiss := 0
-		c := 0
-		for i := 0; i < n; i++ {
-			b := bits.At(i)
-			if c < len(pos) && int(pos[c]) == i {
-				if m.Output[state] != b {
-					wantMiss++
-				}
-				c++
-			}
-			state = m.Step(state, b)
-		}
-		miss, end := tab.RunSampled(start, bits.Words(), n, pos)
+		wantMiss, state := m.RunSampledScalar(start, bits.Words(), n, pos)
+		miss, end := tab.RunSampled(start, bits.Words(), n, pos, nil)
 		if miss != wantMiss || end != state {
 			t.Fatalf("trial %d: got %d misses end %d, want %d end %d", trial, miss, end, wantMiss, state)
 		}
@@ -145,19 +155,8 @@ func TestReplayGatedMatchesScalar(t *testing.T) {
 		n := rng.Intn(300)
 		correct, valid := randomBits(rng, n), randomBits(rng, n)
 
-		state := m.Start
-		wantF, wantFC := 0, 0
-		for i := 0; i < n; i++ {
-			cb := correct.At(i)
-			if valid.At(i) && m.Output[state] {
-				wantF++
-				if cb {
-					wantFC++
-				}
-			}
-			state = m.Step(state, cb)
-		}
-		f, fc, err := tab.ReplayGated(correct.Words(), valid.Words(), n)
+		wantF, wantFC := scalarReplayGated(m, correct, valid, n)
+		f, fc, err := tab.ReplayGated(correct.Words(), valid.Words(), n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,29 +229,25 @@ func TestBlockRunnerChunkedMatchesSimulate(t *testing.T) {
 }
 
 // TestSimulateUsesBlockKernel checks Simulate/SimulateBits agree with
-// the scalar oracle with the kernel both on and off.
+// the scalar oracle on both sides of the block-table bound: a machine
+// within it takes the block kernel, one over it the scalar fallback.
 func TestSimulateUsesBlockKernel(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(6))
-	m := randomMachine(rng, 23)
 	bits := randomBits(rng, 1000)
 	bools := bits.Bools()
-	want := m.SimulateScalar(bools, 9)
-
-	if got := m.Simulate(bools, 9); got != want {
-		t.Fatalf("Simulate %+v, scalar %+v", got, want)
-	}
-	if got := m.SimulateBits(bits, 9); got != want {
-		t.Fatalf("SimulateBits %+v, scalar %+v", got, want)
-	}
-	defer SetBlockKernel(SetBlockKernel(false))
-	if BlockKernelEnabled() {
-		t.Fatal("kernel still enabled")
-	}
-	if got := m.Simulate(bools, 9); got != want {
-		t.Fatalf("Simulate (kernel off) %+v, scalar %+v", got, want)
-	}
-	if got := m.SimulateBits(bits, 9); got != want {
-		t.Fatalf("SimulateBits (kernel off) %+v, scalar %+v", got, want)
+	for _, states := range []int{23, maxBlockStates + 1} {
+		m := randomMachine(rng, states)
+		if tabled := BlockTableFor(m) != nil; tabled != (states <= maxBlockStates) {
+			t.Fatalf("%d states: block table present = %v", states, tabled)
+		}
+		want := m.SimulateScalar(bools, 9)
+		if got := m.Simulate(bools, 9); got != want {
+			t.Fatalf("%d states: Simulate %+v, scalar %+v", states, got, want)
+		}
+		if got := m.SimulateBits(bits, 9); got != want {
+			t.Fatalf("%d states: SimulateBits %+v, scalar %+v", states, got, want)
+		}
 	}
 }
 
@@ -308,7 +303,8 @@ func TestBlockTableForRejectsOversized(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	bits := randomBits(rng, 777)
-	if got, want := tab.SimulatePacked(bits.Words(), 777, 5), big.SimulateScalar(bits.Bools(), 5); got != want {
+	got, _ := tab.RunFrom(tab.StartState(), bits.Words(), 777, 5, nil)
+	if want := big.SimulateScalar(bits.Bools(), 5); got != want {
 		t.Fatalf("256-state machine: packed %+v, scalar %+v", got, want)
 	}
 }
@@ -343,7 +339,7 @@ func TestBlockTableCacheConcurrent(t *testing.T) {
 					t.Error("nil table")
 					return
 				}
-				if got := tab.SimulatePacked(streams[i].Words(), streams[i].Len(), 3); got != want[i] {
+				if got, _ := tab.RunFrom(tab.StartState(), streams[i].Words(), streams[i].Len(), 3, nil); got != want[i] {
 					t.Errorf("machine %d: got %+v, want %+v", i, got, want[i])
 					return
 				}
@@ -375,9 +371,9 @@ func TestBlockKernelAllocs(t *testing.T) {
 			t.Errorf("%s allocates %.1f per run, want 0", name, avg)
 		}
 	}
-	check("SimulatePacked", func() { tab.SimulatePacked(words, n, 11) })
-	check("RunSampled", func() { tab.RunSampled(3, words, n, pos) })
-	check("ReplayGated", func() { tab.ReplayGated(words, words, n) })
+	check("RunFrom", func() { tab.RunFrom(tab.StartState(), words, n, 11, nil) })
+	check("RunSampled", func() { tab.RunSampled(3, words, n, pos, nil) })
+	check("ReplayGated", func() { tab.ReplayGated(words, words, n, nil) })
 	check("Machine.SimulateBits", func() { m.SimulateBits(bits, 11) })
 	check("Machine.Simulate", func() { m.Simulate(bools, 11) })
 }
@@ -398,7 +394,7 @@ func BenchmarkSimulatePacked(b *testing.B) {
 	b.Run("blocked", func(b *testing.B) {
 		b.SetBytes(int64(n) / 8)
 		for i := 0; i < b.N; i++ {
-			tab.SimulatePacked(words, n, 64)
+			tab.RunFrom(tab.StartState(), words, n, 64, nil)
 		}
 	})
 	b.Run("scalar", func(b *testing.B) {

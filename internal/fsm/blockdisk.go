@@ -95,6 +95,5 @@ func decodeBlockTable(payload []byte) (*BlockTable, bool) {
 		m.Output[s] = out[s] == 1
 		m.Next[s] = [2]int{int(step[s<<1]), int(step[s<<1|1])}
 	}
-	t := &BlockTable{tab: tab, step: step, out: out, start: start, src: m}
-	return t, true
+	return newBlockTable(tab, step, out, start, m), true
 }

@@ -125,3 +125,61 @@ func TestBlockTableDiskTier(t *testing.T) {
 		t.Fatal("store did not count the corrupted artifact")
 	}
 }
+
+// TestDiskTierTablesRunSpans is the warm-disk regression: a table served
+// by the disk tier rather than compiled in this process must answer
+// every entry point that takes a run index — RunFrom, RunSampled,
+// ReplayGated and Fleet.Run — exactly as the scalar oracle does. The
+// decoder once built tables without their span-kernel shell, so the
+// second process sharing a cache directory panicked on its first run
+// index.
+func TestDiskTierTablesRunSpans(t *testing.T) {
+	store, err := disktier.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetDiskTier(store)
+	defer SetDiskTier(nil)
+
+	rng := rand.New(rand.NewSource(12))
+	m := randomMachine(rng, 19)
+	if BlockTableFor(m) == nil { // compile once, writing through to disk
+		t.Fatal("no table")
+	}
+	ResetBlockCache()
+	before := BlockStats()
+	tab := BlockTableFor(m)
+	if after := BlockStats(); after.TierHits != before.TierHits+1 || after.Misses != before.Misses {
+		t.Fatalf("table not served from disk: before %+v, after %+v", before, after)
+	}
+
+	bits := runnyBits(rng, 6000, 0.95, 120)
+	words, n := bits.Words(), bits.Len()
+	runs := spanIndexOf(bits)
+	if len(runs) == 0 {
+		t.Fatal("runny stream produced no runs")
+	}
+	const skip = 13
+	want := m.SimulateScalar(bits.Bools(), skip)
+
+	if got, _ := tab.RunFrom(tab.StartState(), words, n, skip, runs); got != want {
+		t.Fatalf("RunFrom: %+v, scalar %+v", got, want)
+	}
+	// Sparse positions leave whole runs unsampled, so the walk skips.
+	var pos []int32
+	for i := 0; i < n; i += 997 {
+		pos = append(pos, int32(i))
+	}
+	wm, we := m.RunSampledScalar(m.Start, words, n, pos)
+	if gm, ge := tab.RunSampled(m.Start, words, n, pos, runs); gm != wm || ge != we {
+		t.Fatalf("RunSampled: (%d,%d), scalar (%d,%d)", gm, ge, wm, we)
+	}
+	valid := runnyBits(rng, n, 0.97, 300)
+	wf, wfc := scalarReplayGated(m, bits, valid, n)
+	if gf, gfc, err := tab.ReplayGated(words, valid.Words(), n, runs); err != nil || gf != wf || gfc != wfc {
+		t.Fatalf("ReplayGated: (%d,%d,%v), scalar (%d,%d)", gf, gfc, err, wf, wfc)
+	}
+	if got := FleetOfTables([]*BlockTable{tab}).Run(1, words, n, skip, runs); got[0] != want {
+		t.Fatalf("Fleet.Run: %+v, scalar %+v", got[0], want)
+	}
+}

@@ -10,12 +10,13 @@ import (
 )
 
 // This file is the fleet kernel: the multi-machine superstep scaled
-// from a serving-sized group (RunManyPacked's handful of block tables)
-// to hundreds of candidate machines scored against one trace — the GA
-// search over machine encodings, Figure 4's synthesis batch, Figure 2's
-// per-history threshold curves, and coalesced batch-simulate flushes.
+// from a serving-sized group of block tables to hundreds of candidate
+// machines scored against one trace — the GA search over machine
+// encodings, Figure 4's synthesis batch, Figure 2's per-history
+// threshold curves, and coalesced batch-simulate flushes.
 //
-// Three structural changes over RunManyPacked:
+// Three structural changes over a naive loop that advances every
+// machine per trace byte:
 //
 //   - Structure of arrays with absolute state indexing. All machines'
 //     8-bit transition-closure tables live in ONE contiguous []uint16
@@ -26,7 +27,7 @@ import (
 //     transition is a shift-or-load-add chain into the shared table.
 //     Entries keep the compact 2-byte next|predMask<<8 layout of
 //     BlockTable so eight lanes' tables stay cache-resident.
-//   - Loop inversion + lane tiling. RunManyPacked walks machines
+//   - Loop inversion + lane tiling. The naive loop walks machines
 //     INSIDE the per-byte loop: every trace byte touches N distinct
 //     tables, so at fleet scale each lookup is a fresh cache line. The
 //     fleet kernel tiles machine × trace-segment instead: the trace is
@@ -45,8 +46,8 @@ import (
 // whose closure tables total at most fleetChunkBytes, so a chunk's
 // tables plus one trace segment stay L2-resident no matter how large
 // the fleet grows, and chunks shard across cores via internal/par.
-// Every kernel here is bit-identical to per-machine SimulatePacked by
-// construction (same event sequence, same closure entries); the
+// Every kernel here is bit-identical to per-machine BlockTable.RunFrom
+// by construction (same event sequence, same closure entries); the
 // package's differential and fuzz tests enforce it.
 
 // fleetSegEvents is the trace tile: 1<<15 events = 4 KiB of packed
@@ -94,24 +95,21 @@ type Fleet struct {
 // NewFleet compiles a fleet from machines. Every machine must be valid
 // and within the block-table state bound (256); otherwise an error
 // names the offending index and callers fall back to per-machine
-// simulation. Compilation reuses the shared block-table cache when the
-// block kernel is enabled, so recurring machines (GA elites, repeated
-// batch requests) cost one table build process-wide.
+// simulation. Compilation goes through the shared block-table cache,
+// so recurring machines (GA elites, repeated batch requests) cost one
+// table build process-wide.
 func NewFleet(machines []*Machine) (*Fleet, error) {
 	tabs := make([]*BlockTable, len(machines))
 	for i, m := range machines {
 		if m == nil {
 			return nil, fmt.Errorf("fsm: fleet machine %d is nil", i)
 		}
-		if t := BlockTableFor(m); t != nil {
-			tabs[i] = t
-			continue
-		}
-		t, err := CompileBlockTable(m)
-		if err != nil {
+		if tabs[i] = BlockTableFor(m); tabs[i] == nil {
+			// Only an invalid or oversized machine has no table;
+			// compiling it directly names the reason.
+			_, err := CompileBlockTable(m)
 			return nil, fmt.Errorf("fsm: fleet machine %d: %v", i, err)
 		}
-		tabs[i] = t
 	}
 	return FleetOfTables(tabs), nil
 }
@@ -200,39 +198,19 @@ func (f *Fleet) TableBytes() uint64 {
 
 // Run replays n events of the packed outcome stream through every
 // fleet machine in one tiled pass, the first skip events as unscored
-// warm-up. Result i is bit-identical to machines[i].SimulatePacked
-// (n over-long streams are clamped to the words' capacity). Sequential;
-// use RunParallel to shard chunks across cores.
-func (f *Fleet) Run(words []uint64, n, skip int) []SimResult {
-	return f.RunParallelSpans(1, words, n, skip, nil)
-}
-
-// RunSpans is Run walking a run index (bitseq.Runs over the same
-// words): homogeneous runs advance every lane through its machine's
-// span power tables in O(log run) lookups, mixed stretches through the
-// interleaved byte loop. Bit-identical to Run for any index.
-func (f *Fleet) RunSpans(words []uint64, n, skip int, runs []bitseq.Run) []SimResult {
-	return f.RunParallelSpans(1, words, n, skip, runs)
-}
-
-// RunParallel is Run with the machine chunks sharded over at most
-// workers goroutines (<= 0 means GOMAXPROCS). Chunks are independent —
-// each owns a disjoint range of unique machines and only reads the
-// trace — so results are bit-identical for any worker count.
-func (f *Fleet) RunParallel(workers int, words []uint64, n, skip int) []SimResult {
-	return f.RunParallelSpans(workers, words, n, skip, nil)
-}
-
-// RunParallelSpans is RunSpans with the machine chunks sharded over at
-// most workers goroutines; each chunk walks the shared run index with
-// its own cursor, so results stay bit-identical for any worker count.
-func (f *Fleet) RunParallelSpans(workers int, words []uint64, n, skip int, runs []bitseq.Run) []SimResult {
+// warm-up, with the machine chunks sharded over at most workers
+// goroutines (<= 0 means GOMAXPROCS; chunks own disjoint machine ranges
+// and only read the trace, so results are bit-identical for any worker
+// count). Result i is bit-identical to machine i's BlockTable.RunFrom
+// from its start state, and n over-long streams are clamped to the
+// words' capacity. A non-empty run index (bitseq.Runs over the same
+// words) takes the span path — homogeneous runs advance every lane
+// through its span power tables in O(log run) lookups, each chunk with
+// its own cursor — and nil takes the interleaved byte loop throughout.
+func (f *Fleet) Run(workers int, words []uint64, n, skip int, runs []bitseq.Run) []SimResult {
 	res := make([]SimResult, len(f.idx))
 	if len(f.idx) == 0 {
 		return res
-	}
-	if !SpanKernelEnabled() {
-		runs = nil
 	}
 	n, skip = clampSpan(words, n, skip)
 	nu := f.slots()
@@ -389,7 +367,7 @@ func (f *Fleet) runSkipLane(u int, words []uint64, lo, hi, scoreFrom, b int, sta
 // must be a multiple of 8, so byte extraction never crosses a word. The
 // event sequence is RunFrom's (unscored bytes, ragged warm-up tail,
 // scored scalar head, scored bytes, scored scalar tail), which is what
-// makes the fleet bit-identical to per-machine SimulatePacked.
+// makes the fleet bit-identical to per-machine RunFrom.
 func (f *Fleet) span(u int, s uint8, words []uint64, lo, hi, scoreFrom int) (uint8, int) {
 	o := int(f.off[u])
 	tab := f.tab
@@ -604,7 +582,8 @@ func writeOctStates(states []uint8, off []uint32, u, g0, g1, g2, g3, g4, g5, g6,
 // ascending, each in [0, n)) — the §7.3 update-all replay batched
 // across a candidate set, one trace read for the whole fleet. It
 // returns per-input misprediction counts, each bit-identical to the
-// per-machine BlockTable.RunSampled walk. Positions differ per input,
+// per-machine BlockTable.RunSampled walk. It always takes the byte
+// kernel (it has no run index parameter). Positions differ per input,
 // so duplicate machines keep their own slots here (the walk is cheap
 // next to the shared trace traversal the fleet amortizes).
 func (f *Fleet) RunSampled(words []uint64, n int, pos [][]int32) []int {
@@ -656,25 +635,15 @@ func (f *Fleet) sampled(u int, words []uint64, n int, pos []int32) int {
 // stream from its start state, and valid positions where the machine
 // predicts confident count toward its flagged / flaggedCorrect tallies
 // — BlockTable.ReplayGated for N machines in one trace pass, with
-// structurally identical machines walked once and fanned out.
-// Mismatched stream lengths (or n beyond their capacity) are an
-// explicit error, never a silent truncation.
-func (f *Fleet) ReplayGated(correct, valid []uint64, n int) (flagged, flaggedCorrect []int, err error) {
-	return f.ReplayGatedSpans(correct, valid, n, nil)
-}
-
-// ReplayGatedSpans is ReplayGated walking a run index over the correct
-// stream: per unique machine, homogeneous correct runs whose valid bits
-// are saturated advance through the span power tables (the
-// BlockTable.ReplayGatedSpans closure identities), everything else
-// through the gated byte loop. Bit-identical to ReplayGated.
-func (f *Fleet) ReplayGatedSpans(correct, valid []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect []int, err error) {
+// structurally identical machines walked once and fanned out. A
+// non-empty run index over the correct stream takes the span path per
+// unique machine, nil the gated byte loop. Mismatched stream lengths
+// (or n beyond their capacity) are an explicit error, never a silent
+// truncation.
+func (f *Fleet) ReplayGated(correct, valid []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect []int, err error) {
 	n, err = checkGatedStreams(correct, valid, n)
 	if err != nil {
 		return nil, nil, err
-	}
-	if !SpanKernelEnabled() {
-		runs = nil
 	}
 	flagged = make([]int, len(f.idx))
 	flaggedCorrect = make([]int, len(f.idx))
@@ -728,8 +697,8 @@ func (f *Fleet) gated(u int, correct, valid []uint64, n int) (flagged, flaggedCo
 }
 
 // gatedSpans is gated walking a run index over the correct stream — the
-// fleet counterpart of BlockTable.ReplayGatedSpans, on the packed
-// table with absolute state indexing.
+// fleet counterpart of BlockTable.ReplayGated's span path, on the
+// packed table with absolute state indexing.
 func (f *Fleet) gatedSpans(u int, correct, valid []uint64, n int, runs []bitseq.Run, tally *spanTally) (flagged, flaggedCorrect int) {
 	o := int(f.off[u])
 	tab := f.tab

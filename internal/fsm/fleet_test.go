@@ -13,8 +13,8 @@ import (
 // TestFleetMatchesSimulatePacked is the fleet's primary differential:
 // mixed machine sizes (including deliberate duplicates), every ragged
 // head/tail combination, a sweep of skips, and both the sequential and
-// the sharded pass must all be bit-identical to per-machine
-// SimulatePacked.
+// the sharded pass must all be bit-identical to per-machine RunFrom
+// from the start state.
 func TestFleetMatchesSimulatePacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 15; trial++ {
@@ -35,7 +35,7 @@ func TestFleetMatchesSimulatePacked(t *testing.T) {
 			bits := randomBits(rng, n)
 			for _, skip := range []int{0, 1, 3, 8, 17, n / 2, n, n + 5} {
 				for _, workers := range []int{1, 4} {
-					got := fl.RunParallel(workers, bits.Words(), n, skip)
+					got := fl.Run(workers, bits.Words(), n, skip, nil)
 					if len(got) != count {
 						t.Fatalf("len = %d, want %d", len(got), count)
 					}
@@ -44,7 +44,7 @@ func TestFleetMatchesSimulatePacked(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want := tab.SimulatePacked(bits.Words(), n, skip)
+						want, _ := tab.RunFrom(tab.StartState(), bits.Words(), n, skip, nil)
 						if got[j] != want {
 							t.Fatalf("machines=%d n=%d skip=%d workers=%d machine %d: fleet %+v, single %+v",
 								count, n, skip, workers, j, got[j], want)
@@ -72,7 +72,7 @@ func TestFleetDedup(t *testing.T) {
 		t.Fatalf("Len=%d Unique=%d Deduped=%d, want 5/2/3", fl.Len(), fl.Unique(), fl.Deduped())
 	}
 	bits := randomBits(rng, 777)
-	res := fl.Run(bits.Words(), bits.Len(), 13)
+	res := fl.Run(1, bits.Words(), bits.Len(), 13, nil)
 	if res[0] != res[2] || res[0] != res[3] || res[1] != res[4] {
 		t.Fatalf("duplicate slots disagree: %+v", res)
 	}
@@ -87,7 +87,7 @@ func TestFleetEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := fl.Run(nil, 100, 0); len(res) != 0 {
+	if res := fl.Run(1, nil, 100, 0, nil); len(res) != 0 {
 		t.Fatalf("empty fleet returned %v", res)
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -95,7 +95,7 @@ func TestFleetEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := fl.Run(nil, 0, 0); res[0] != (SimResult{}) {
+	if res := fl.Run(1, nil, 0, 0, nil); res[0] != (SimResult{}) {
 		t.Fatalf("empty trace returned %+v", res[0])
 	}
 }
@@ -132,24 +132,20 @@ func TestPackedEntryPointsClampOverlongN(t *testing.T) {
 	over := len(words)*64 + 129 // far past capacity
 	capEvents := len(words) * 64
 
-	wantSingle := tab.SimulatePacked(words, capEvents, 5)
-	if got := tab.SimulatePacked(words, over, 5); got != wantSingle {
-		t.Fatalf("SimulatePacked over-long: %+v, want %+v", got, wantSingle)
-	}
-	wantMany := RunManyPacked([]*BlockTable{tab}, words, capEvents, 5)
-	if got := RunManyPacked([]*BlockTable{tab}, words, over, 5); !reflect.DeepEqual(got, wantMany) {
-		t.Fatalf("RunManyPacked over-long: %+v, want %+v", got, wantMany)
+	wantSingle := m.SimulateScalar(append(bits.Bools(), make([]bool, capEvents-n)...), 5)
+	if got, _ := tab.RunFrom(tab.StartState(), words, over, 5, nil); got != wantSingle {
+		t.Fatalf("RunFrom over-long: %+v, want %+v", got, wantSingle)
 	}
 	fl := FleetOfTables([]*BlockTable{tab})
-	if got := fl.Run(words, over, 5); !reflect.DeepEqual(got, wantMany) {
-		t.Fatalf("Fleet.Run over-long: %+v, want %+v", got, wantMany)
+	if got := fl.Run(1, words, over, 5, nil); got[0] != wantSingle {
+		t.Fatalf("Fleet.Run over-long: %+v, want %+v", got[0], wantSingle)
 	}
 	var pos []int32
 	for i := 0; i < n; i += 3 {
 		pos = append(pos, int32(i))
 	}
-	wm, we := tab.RunSampled(m.Start, words, capEvents, pos)
-	if gm, ge := tab.RunSampled(m.Start, words, over, pos); gm != wm || ge != we {
+	wm, we := tab.RunSampled(m.Start, words, capEvents, pos, nil)
+	if gm, ge := tab.RunSampled(m.Start, words, over, pos, nil); gm != wm || ge != we {
 		t.Fatalf("RunSampled over-long: (%d,%d), want (%d,%d)", gm, ge, wm, we)
 	}
 	if gm, ge := m.RunSampledScalar(m.Start, words, over, pos); gm != wm || ge != we {
@@ -187,7 +183,7 @@ func TestFleetRunSampledMatchesBlockTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _ := tab.RunSampled(m.Start, bits.Words(), n, pos[j])
+			want, _ := tab.RunSampled(m.Start, bits.Words(), n, pos[j], nil)
 			if got[j] != want {
 				t.Fatalf("trial %d machine %d: fleet %d, single %d", trial, j, got[j], want)
 			}
@@ -219,7 +215,7 @@ func TestFleetReplayGatedMatchesBlockTable(t *testing.T) {
 		}
 		n := rng.Intn(300)
 		correct, valid := randomBits(rng, n), randomBits(rng, n)
-		gf, gfc, err := fl.ReplayGated(correct.Words(), valid.Words(), n)
+		gf, gfc, err := fl.ReplayGated(correct.Words(), valid.Words(), n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +224,7 @@ func TestFleetReplayGatedMatchesBlockTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wf, wfc, err := tab.ReplayGated(correct.Words(), valid.Words(), n)
+			wf, wfc, err := tab.ReplayGated(correct.Words(), valid.Words(), n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,14 +251,14 @@ func TestFleetConcurrent(t *testing.T) {
 	}
 	bits := randomBits(rng, 5000)
 	words, n := bits.Words(), bits.Len()
-	want := fl.Run(words, n, 7)
+	want := fl.Run(1, words, n, 7, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for iter := 0; iter < 5; iter++ {
-				got := fl.RunParallel(1+g%4, words, n, 7)
+				got := fl.Run(1+g%4, words, n, 7, nil)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("goroutine %d iter %d: results diverged", g, iter)
 					return
@@ -274,7 +270,7 @@ func TestFleetConcurrent(t *testing.T) {
 }
 
 // FuzzFleet drives a small mixed fleet from fuzzed machine bytes and
-// stream content, asserting against per-machine SimulatePacked.
+// stream content, asserting against per-machine RunFrom.
 func FuzzFleet(f *testing.F) {
 	f.Add([]byte{3, 1, 0, 2, 9}, []byte{0xAA, 0x0F}, uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{0x01, 0xFF, 0x3C}, uint8(5))
@@ -317,13 +313,13 @@ func FuzzFleet(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := fl.RunParallel(1+at(0)%3, bits.Words(), n, skip)
+		got := fl.Run(1+at(0)%3, bits.Words(), n, skip, nil)
 		for j, m := range machines {
 			tab, err := CompileBlockTable(m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := tab.SimulatePacked(bits.Words(), n, skip); got[j] != want {
+			if want, _ := tab.RunFrom(tab.StartState(), bits.Words(), n, skip, nil); got[j] != want {
 				t.Fatalf("machine %d: fleet %+v, single %+v (n=%d skip=%d)", j, got[j], want, n, skip)
 			}
 		}
@@ -331,8 +327,8 @@ func FuzzFleet(f *testing.F) {
 }
 
 // BenchmarkFleet measures the fleet's aggregate throughput scaling
-// curve against RunManyPacked and per-machine passes at the same
-// machine counts — the ISSUE 7 headline (≥ 2× RunManyPacked at 64).
+// curve, sequential and sharded, against one RunFrom pass per machine at
+// the same machine counts.
 func BenchmarkFleet(b *testing.B) {
 	rng := rand.New(rand.NewSource(77))
 	bits := randomBits(rng, 1<<18)
@@ -353,19 +349,21 @@ func BenchmarkFleet(b *testing.B) {
 			b.SetBytes(bytes)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fl.Run(words, n, 0)
+				fl.Run(1, words, n, 0, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("fleet-parallel/n%d", machines), func(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
-				fl.RunParallel(0, words, n, 0)
+				fl.Run(0, words, n, 0, nil)
 			}
 		})
-		b.Run(fmt.Sprintf("runmany/n%d", machines), func(b *testing.B) {
+		b.Run(fmt.Sprintf("per-machine/n%d", machines), func(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
-				RunManyPacked(tabs, words, n, 0)
+				for _, t := range tabs {
+					t.RunFrom(t.StartState(), words, n, 0, nil)
+				}
 			}
 		})
 	}

@@ -160,11 +160,11 @@ func (s SimResult) Accuracy() float64 {
 // Simulate predicts every bit of the trace in sequence, updating after
 // each outcome, and tallies correctness. skip outcomes at the head are
 // consumed as warm-up without being scored (the paper scores steady-state
-// behaviour). It runs on the byte-blocked superstep kernel (block.go)
-// via the shared table cache — compiling the machine's closure table on
-// first use, so steady-state calls allocate nothing — and falls back to
-// the scalar walk when the kernel is disabled or the machine exceeds
-// the table bound. Results are bit-identical either way.
+// behaviour). A machine within the 256-state table bound runs on the
+// byte-blocked superstep kernel (block.go) via the shared table cache —
+// compiling the machine's closure table on first use, so steady-state
+// calls allocate nothing; only a machine over the bound (or an invalid
+// one) takes the scalar walk. Results are bit-identical either way.
 func (m *Machine) Simulate(trace []bool, skip int) SimResult {
 	if t := BlockTableFor(m); t != nil {
 		return t.simulateBools(trace, skip)
@@ -173,7 +173,8 @@ func (m *Machine) Simulate(trace []bool, skip int) SimResult {
 }
 
 // SimulateScalar is the bit-at-a-time reference walk — the
-// differential oracle every blocked kernel is tested against. The walk
+// differential oracle every blocked kernel is tested against, and the
+// path Simulate takes for a machine over the block-table bound. The walk
 // is inlined rather than going through a Runner so a simulation
 // performs no allocations.
 func (m *Machine) SimulateScalar(trace []bool, skip int) SimResult {
@@ -198,8 +199,8 @@ func (m *Machine) SimulateScalar(trace []bool, skip int) SimResult {
 // RunSampledScalar is the bit-at-a-time form of BlockTable.RunSampled —
 // advance on every event of the packed stream from the given state,
 // score only the listed positions (strictly ascending, each in [0, n))
-// — kept as the differential oracle and as the fallback when the block
-// kernel is disabled. n beyond the words' capacity is clamped.
+// — kept as the differential oracle and as the fallback for machines
+// over the block-table bound. n beyond the words' capacity is clamped.
 func (m *Machine) RunSampledScalar(state int, words []uint64, n int, pos []int32) (misses, end int) {
 	if n < 0 {
 		n = 0
@@ -228,10 +229,13 @@ func (m *Machine) RunSampledScalar(state int, words []uint64, n int, pos []int32
 // SimulateBits is Simulate over a packed sequence: the hot entry point
 // for callers that already hold bit-packed outcomes (the serving
 // layer, the packed trace store), avoiding the []bool unpacking
-// entirely.
+// entirely. Like Simulate it takes the byte kernel (BlockTable.RunFrom
+// from the start state, no run index) within the table bound and the
+// scalar walk above it.
 func (m *Machine) SimulateBits(trace *bitseq.Bits, skip int) SimResult {
 	if t := BlockTableFor(m); t != nil {
-		return t.SimulatePacked(trace.Words(), trace.Len(), skip)
+		res, _ := t.RunFrom(t.StartState(), trace.Words(), trace.Len(), skip, nil)
+		return res
 	}
 	state := m.Start
 	var res SimResult

@@ -105,8 +105,8 @@ func FuzzBlockTable(f *testing.F) {
 		skip := int(skip8)
 
 		want := m.SimulateScalar(bools, skip)
-		if got := tab.SimulatePacked(stream.Words(), length, skip); got != want {
-			t.Fatalf("SimulatePacked %+v, scalar %+v (n=%d skip=%d)", got, want, length, skip)
+		if got, _ := tab.RunFrom(tab.StartState(), stream.Words(), length, skip, nil); got != want {
+			t.Fatalf("RunFrom %+v, scalar %+v (n=%d skip=%d)", got, want, length, skip)
 		}
 		if got := m.Simulate(bools, skip); got != want {
 			t.Fatalf("Simulate %+v, scalar %+v", got, want)
@@ -145,7 +145,7 @@ func FuzzBlockTable(f *testing.F) {
 			}
 			state = m.Step(state, b)
 		}
-		miss, end := tab.RunSampled(m.Start, stream.Words(), length, pos)
+		miss, end := tab.RunSampled(m.Start, stream.Words(), length, pos, nil)
 		if miss != wantMiss || end != state {
 			t.Fatalf("RunSampled (%d,%d), scalar (%d,%d)", miss, end, wantMiss, state)
 		}

@@ -22,24 +22,11 @@ import (
 // precomputed run index (bitseq.Runs) and fall back to the byte loop on
 // mixed segments; they are bit-identical to the block kernels by
 // construction — same event sequence, tables composed from the same
-// 2-symbol step function — and the block and scalar kernels stay on as
-// differential oracles behind the SetSpanKernel toggle, the PR 5/7
-// pattern.
-
-// spanKernelOff gates the span kernels; the zero value (enabled) is the
-// default. Figure-level oracle tests flip it to assert the whole flow
-// is byte-identical with and without run skipping.
-var spanKernelOff atomic.Bool
-
-// SetSpanKernel enables or disables run skipping process-wide and
-// returns the previous setting. With the kernel off every *Spans entry
-// point ignores its run index and runs the plain block kernel.
-func SetSpanKernel(on bool) (was bool) {
-	return !spanKernelOff.Swap(!on)
-}
-
-// SpanKernelEnabled reports whether run skipping is in use.
-func SpanKernelEnabled() bool { return !spanKernelOff.Load() }
+// 2-symbol step function. An entry point (RunFrom, RunSampled,
+// ReplayGated, Fleet.Run, Fleet.ReplayGated) takes the span path
+// exactly when its caller passes a non-empty run index, so the block
+// kernel — the same call with nil — is the differential oracle beside
+// the scalar walks.
 
 // SpanKernelStats is a snapshot of the process-wide span-kernel
 // counters — the source of the fsmpredict_span_* metrics.
@@ -190,30 +177,12 @@ func (st *SpanTable) walk(s uint8, k, b int) (uint8, int) {
 	return s, miss
 }
 
-// Spans returns the machine's span power tables.
-func (t *BlockTable) Spans() *SpanTable { return t.span }
-
-// SimulatePackedSpans is SimulatePacked walking a run index: runs from
-// bitseq.Runs over the same words advance through the power tables,
-// mixed stretches through the byte loop. Bit-identical to
-// SimulatePacked for any index (including one built with a different
-// minimum run length); an empty index or a disabled span kernel falls
-// through to the block kernel unchanged.
-func (t *BlockTable) SimulatePackedSpans(words []uint64, n, skip int, runs []bitseq.Run) SimResult {
-	res, _ := t.RunFromSpans(t.StartState(), words, n, skip, runs)
-	return res
-}
-
-// RunFromSpans is RunFrom walking a run index — the stateful span
-// kernel entry point. The event sequence is RunFrom's exactly (warm-up
-// bytes, ragged warm-up tail, scored scalar head, scored byte body,
-// scored scalar tail); homogeneous runs inside the two byte phases
-// advance in O(log run) power-table lookups, with warm-up runs
-// discarding their miss counts.
-func (t *BlockTable) RunFromSpans(state int, words []uint64, n, skip int, runs []bitseq.Run) (SimResult, int) {
-	if len(runs) == 0 || !SpanKernelEnabled() {
-		return t.RunFrom(state, words, n, skip)
-	}
+// runFromSpans is RunFrom's span path. The event sequence is the byte
+// kernel's exactly (warm-up bytes, ragged warm-up tail, scored scalar
+// head, scored byte body, scored scalar tail); homogeneous runs inside
+// the two byte phases advance in O(log run) power-table lookups, with
+// warm-up runs discarding their miss counts.
+func (t *BlockTable) runFromSpans(state int, words []uint64, n, skip int, runs []bitseq.Run) (SimResult, int) {
 	n, skip = clampSpan(words, n, skip)
 	var tally spanTally
 	s := uint8(state)
@@ -295,16 +264,12 @@ func (t *BlockTable) spanBytes(words []uint64, i, end int, s uint8, runs []bitse
 	return i, s, miss
 }
 
-// RunSampledSpans is RunSampled walking a run index: stretches of a
+// runSampledSpans is RunSampled's span path: stretches of a
 // homogeneous run holding no sampled position advance through the power
 // tables (their misses are irrelevant — only sampled positions score),
 // and the byte containing a sampled position goes through the closure
-// table so its per-event predictions are available. Bit-identical to
-// RunSampled.
-func (t *BlockTable) RunSampledSpans(state int, words []uint64, n int, pos []int32, runs []bitseq.Run) (misses, end int) {
-	if len(runs) == 0 || !SpanKernelEnabled() {
-		return t.RunSampled(state, words, n, pos)
-	}
+// table so its per-event predictions are available.
+func (t *BlockTable) runSampledSpans(state int, words []uint64, n int, pos []int32, runs []bitseq.Run) (misses, end int) {
 	n, _ = clampSpan(words, n, 0)
 	var tally spanTally
 	s := uint8(state)
@@ -380,19 +345,15 @@ func (t *BlockTable) RunSampledSpans(state int, words []uint64, n int, pos []int
 	return misses, int(s)
 }
 
-// ReplayGatedSpans is ReplayGated walking a run index over the correct
-// stream. Flagged counts need the valid bits, so a run is skipped only
-// across stretches where the valid stream is saturated (all ones) —
-// there the tallies are pure functions of the machine path: on a ones
-// run every predict-taken step is flagged AND correct, on a zeros run
-// every predict-taken step is flagged and none correct, and the power
-// tables' miss counts are exactly those step counts. Elsewhere the run
-// falls back to the gated byte loop. Bit-identical to ReplayGated, and
-// like it errors on mismatched stream lengths.
-func (t *BlockTable) ReplayGatedSpans(correct, valid []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect int, err error) {
-	if len(runs) == 0 || !SpanKernelEnabled() {
-		return t.ReplayGated(correct, valid, n)
-	}
+// replayGatedSpans is ReplayGated's span path over the correct stream.
+// Flagged counts need the valid bits, so a run is skipped only across
+// stretches where the valid stream is saturated (all ones) — there the
+// tallies are pure functions of the machine path: on a ones run every
+// predict-taken step is flagged AND correct, on a zeros run every
+// predict-taken step is flagged and none correct, and the power tables'
+// miss counts are exactly those step counts. Elsewhere the run falls
+// back to the gated byte loop.
+func (t *BlockTable) replayGatedSpans(correct, valid []uint64, n int, runs []bitseq.Run) (flagged, flaggedCorrect int, err error) {
 	n, err = checkGatedStreams(correct, valid, n)
 	if err != nil {
 		return 0, 0, err

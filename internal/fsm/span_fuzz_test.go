@@ -7,8 +7,9 @@ import (
 	"fsmpredict/internal/bitseq"
 )
 
-// FuzzSpanKernel differentially fuzzes the span kernel against both the
-// block kernel and the scalar machine walk: arbitrary stream bytes
+// FuzzSpanKernel differentially fuzzes RunFrom with a run index (the
+// span kernel) against the same call with nil (the block kernel) and the
+// scalar machine walk: arbitrary stream bytes
 // (which the fuzzer will steer toward run-boundary edge cases), a seeded
 // machine, and arbitrary skip. Any divergence — misses, exit state, or a
 // panic in the index walk — is a finding.
@@ -46,8 +47,8 @@ func FuzzSpanKernel(f *testing.F) {
 		words := bits.Words()
 		runs := bitseq.Runs(words, n, bitseq.DefaultMinRunBytes)
 
-		want := tab.SimulatePacked(words, n, skip)
-		got := tab.SimulatePackedSpans(words, n, skip, runs)
+		want, _ := tab.RunFrom(tab.StartState(), words, n, skip, nil)
+		got, _ := tab.RunFrom(tab.StartState(), words, n, skip, runs)
 		if got != want {
 			t.Fatalf("span %+v, block %+v (n=%d skip=%d runs=%d)", got, want, n, skip, len(runs))
 		}
@@ -58,7 +59,7 @@ func FuzzSpanKernel(f *testing.F) {
 		// Index-robustness: a coarser index (longer minimum run) must not
 		// change results, only skip less.
 		coarse := bitseq.Runs(words, n, 32)
-		if got2 := tab.SimulatePackedSpans(words, n, skip, coarse); got2 != want {
+		if got2, _ := tab.RunFrom(tab.StartState(), words, n, skip, coarse); got2 != want {
 			t.Fatalf("coarse-index span %+v, block %+v", got2, want)
 		}
 	})

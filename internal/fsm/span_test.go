@@ -40,6 +40,18 @@ func spanIndexOf(bits *bitseq.Bits) []bitseq.Run {
 	return bitseq.Runs(bits.Words(), bits.Len(), bitseq.DefaultMinRunBytes)
 }
 
+// indexCase is one point of the {nil, index} axis the entry-point tests
+// are driven over: the same call must match the scalar oracle with no
+// run index (the byte kernel) and with one (the span kernel).
+type indexCase struct {
+	name string
+	runs []bitseq.Run
+}
+
+func indexCases(bits *bitseq.Bits) []indexCase {
+	return []indexCase{{"nil", nil}, {"index", spanIndexOf(bits)}}
+}
+
 // TestSpanWalkMatchesScalar checks every power-table walk against 8k
 // scalar steps, for both byte values and run lengths crossing several
 // level boundaries.
@@ -51,7 +63,6 @@ func TestSpanWalkMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := tab.Spans()
 		for _, k := range []int{1, 2, 3, 5, 8, 13, 31, 64, 100} {
 			for b := 0; b < 2; b++ {
 				s0 := rng.Intn(len(m.Output))
@@ -62,7 +73,7 @@ func TestSpanWalkMatchesScalar(t *testing.T) {
 					}
 					wantS = m.Step(wantS, b == 1)
 				}
-				gotS, gotMiss := st.walk(uint8(s0), k, b)
+				gotS, gotMiss := tab.span.walk(uint8(s0), k, b)
 				if int(gotS) != wantS || gotMiss != wantMiss {
 					t.Fatalf("trial %d k=%d b=%d: walk (%d,%d), scalar (%d,%d)",
 						trial, k, b, gotS, gotMiss, wantS, wantMiss)
@@ -74,7 +85,8 @@ func TestSpanWalkMatchesScalar(t *testing.T) {
 
 // TestRunFromSpansMatchesRunFrom sweeps biased runny streams with random
 // skips — every ragged alignment of run boundaries against the kernel's
-// warm-up/head/body/tail phases — against the block kernel.
+// warm-up/head/body/tail phases — through RunFrom with and without a
+// run index, against the scalar oracle.
 func TestRunFromSpansMatchesRunFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 60; trial++ {
@@ -86,22 +98,22 @@ func TestRunFromSpansMatchesRunFrom(t *testing.T) {
 		n := rng.Intn(2000)
 		bias := 0.5 + rng.Float64()*0.49
 		bits := runnyBits(rng, n, bias, float64(1+rng.Intn(200)))
-		words := bits.Words()
-		runs := spanIndexOf(bits)
 		skip := rng.Intn(n + 2)
 		state := rng.Intn(len(m.Output))
-
-		wantRes, wantEnd := tab.RunFrom(state, words, n, skip)
-		gotRes, gotEnd := tab.RunFromSpans(state, words, n, skip, runs)
-		if gotRes != wantRes || gotEnd != wantEnd {
-			t.Fatalf("trial %d (n=%d skip=%d runs=%d): spans (%+v,%d), block (%+v,%d)",
-				trial, n, skip, len(runs), gotRes, gotEnd, wantRes, wantEnd)
+		wantRes, wantEnd := scalarRunFrom(m, state, bits, n, skip)
+		for _, ic := range indexCases(bits) {
+			gotRes, gotEnd := tab.RunFrom(state, bits.Words(), n, skip, ic.runs)
+			if gotRes != wantRes || gotEnd != wantEnd {
+				t.Fatalf("trial %d %s (n=%d skip=%d runs=%d): kernel (%+v,%d), scalar (%+v,%d)",
+					trial, ic.name, n, skip, len(ic.runs), gotRes, gotEnd, wantRes, wantEnd)
+			}
 		}
 	}
 }
 
-// TestSimulatePackedSpansMatchesScalar pins the span kernel directly to
-// the scalar oracle, not just to the block kernel.
+// TestSimulatePackedSpansMatchesScalar pins whole-stream replay from the
+// start state on strongly biased streams to the scalar oracle, with and
+// without a run index.
 func TestSimulatePackedSpansMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 20; trial++ {
@@ -114,16 +126,17 @@ func TestSimulatePackedSpansMatchesScalar(t *testing.T) {
 		bits := runnyBits(rng, n, 0.9, 40)
 		skip := rng.Intn(n + 2)
 		want := m.SimulateScalar(bits.Bools(), skip)
-		got := tab.SimulatePackedSpans(bits.Words(), n, skip, spanIndexOf(bits))
-		if got != want {
-			t.Fatalf("trial %d: spans %+v, scalar %+v", trial, got, want)
+		for _, ic := range indexCases(bits) {
+			if got, _ := tab.RunFrom(tab.StartState(), bits.Words(), n, skip, ic.runs); got != want {
+				t.Fatalf("trial %d %s: kernel %+v, scalar %+v", trial, ic.name, got, want)
+			}
 		}
 	}
 }
 
 // TestRunSampledSpansMatchesRunSampled sweeps random sampled-position
-// subsets — empty, sparse, dense, clustered inside runs — against the
-// block kernel.
+// subsets — empty, sparse, dense, clustered inside runs — through
+// RunSampled with and without a run index, against the scalar oracle.
 func TestRunSampledSpansMatchesRunSampled(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	for trial := 0; trial < 60; trial++ {
@@ -135,7 +148,6 @@ func TestRunSampledSpansMatchesRunSampled(t *testing.T) {
 		n := rng.Intn(2000)
 		bits := runnyBits(rng, n, 0.5+rng.Float64()*0.49, float64(1+rng.Intn(150)))
 		words := bits.Words()
-		runs := spanIndexOf(bits)
 		var pos []int32
 		for i := 0; i < n; i++ {
 			if rng.Float64() < 0.05 {
@@ -143,19 +155,21 @@ func TestRunSampledSpansMatchesRunSampled(t *testing.T) {
 			}
 		}
 		state := rng.Intn(len(m.Output))
-
-		wantM, wantEnd := tab.RunSampled(state, words, n, pos)
-		gotM, gotEnd := tab.RunSampledSpans(state, words, n, pos, runs)
-		if gotM != wantM || gotEnd != wantEnd {
-			t.Fatalf("trial %d (n=%d pos=%d): spans (%d,%d), block (%d,%d)",
-				trial, n, len(pos), gotM, gotEnd, wantM, wantEnd)
+		wantM, wantEnd := m.RunSampledScalar(state, words, n, pos)
+		for _, ic := range indexCases(bits) {
+			gotM, gotEnd := tab.RunSampled(state, words, n, pos, ic.runs)
+			if gotM != wantM || gotEnd != wantEnd {
+				t.Fatalf("trial %d %s (n=%d pos=%d): kernel (%d,%d), scalar (%d,%d)",
+					trial, ic.name, n, len(pos), gotM, gotEnd, wantM, wantEnd)
+			}
 		}
 	}
 }
 
 // TestReplayGatedSpansMatchesReplayGated sweeps gated replays whose
 // valid stream mixes saturated stretches (where runs skip) with sparse
-// gating (where they fall back), against the block kernel.
+// gating (where they fall back), with and without a run index, against
+// the scalar oracle.
 func TestReplayGatedSpansMatchesReplayGated(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	for trial := 0; trial < 60; trial++ {
@@ -168,26 +182,23 @@ func TestReplayGatedSpansMatchesReplayGated(t *testing.T) {
 		correct := runnyBits(rng, n, 0.5+rng.Float64()*0.49, float64(1+rng.Intn(150)))
 		// Valid saturates in long stretches, like a warm predictor table.
 		valid := runnyBits(rng, n, 0.95, 200)
-		runs := spanIndexOf(correct)
-
-		wantF, wantFC, err := tab.ReplayGated(correct.Words(), valid.Words(), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotF, gotFC, err := tab.ReplayGatedSpans(correct.Words(), valid.Words(), n, runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotF != wantF || gotFC != wantFC {
-			t.Fatalf("trial %d (n=%d runs=%d): spans (%d,%d), block (%d,%d)",
-				trial, n, len(runs), gotF, gotFC, wantF, wantFC)
+		wantF, wantFC := scalarReplayGated(m, correct, valid, n)
+		for _, ic := range indexCases(correct) {
+			gotF, gotFC, err := tab.ReplayGated(correct.Words(), valid.Words(), n, ic.runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotF != wantF || gotFC != wantFC {
+				t.Fatalf("trial %d %s (n=%d runs=%d): kernel (%d,%d), scalar (%d,%d)",
+					trial, ic.name, n, len(ic.runs), gotF, gotFC, wantF, wantFC)
+			}
 		}
 	}
 }
 
 // TestGatedStreamsMismatchError pins the satellite fix: mismatched
 // gated streams are an explicit error, not a silent truncation — on the
-// single-machine kernel, the fleet, and the span variants.
+// single-machine kernel and the fleet, with and without a run index.
 func TestGatedStreamsMismatchError(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	m := randomMachine(rng, 8)
@@ -200,33 +211,31 @@ func TestGatedStreamsMismatchError(t *testing.T) {
 		t.Fatal(err)
 	}
 	short, long := make([]uint64, 2), make([]uint64, 3)
+	index := []bitseq.Run{{Start: 0, Bytes: 8}}
 
-	if _, _, err := tab.ReplayGated(short, long, 100); err == nil {
-		t.Fatal("BlockTable.ReplayGated accepted mismatched streams")
+	for _, runs := range [][]bitseq.Run{nil, index} {
+		if _, _, err := tab.ReplayGated(short, long, 100, runs); err == nil {
+			t.Fatalf("BlockTable.ReplayGated (runs=%d) accepted mismatched streams", len(runs))
+		}
+		if _, _, err := fl.ReplayGated(long, short, 100, runs); err == nil {
+			t.Fatalf("Fleet.ReplayGated (runs=%d) accepted mismatched streams", len(runs))
+		}
 	}
-	if _, _, err := tab.ReplayGatedSpans(long, short, 100, nil); err == nil {
-		t.Fatal("BlockTable.ReplayGatedSpans accepted mismatched streams")
-	}
-	if _, _, err := fl.ReplayGated(short, long, 100); err == nil {
-		t.Fatal("Fleet.ReplayGated accepted mismatched streams")
-	}
-	if _, _, err := fl.ReplayGatedSpans(long, short, 100, nil); err == nil {
-		t.Fatal("Fleet.ReplayGatedSpans accepted mismatched streams")
-	}
-	if _, _, err := tab.ReplayGated(short, short, 129); err == nil {
+	if _, _, err := tab.ReplayGated(short, short, 129, nil); err == nil {
 		t.Fatal("ReplayGated accepted n beyond the streams' capacity")
 	}
-	if _, _, err := tab.ReplayGated(short, short, 128); err != nil {
+	if _, _, err := tab.ReplayGated(short, short, 128, nil); err != nil {
 		t.Fatalf("ReplayGated rejected an exactly-full stream: %v", err)
 	}
-	if f, fc, err := tab.ReplayGated(short, short, -5); err != nil || f != 0 || fc != 0 {
+	if f, fc, err := tab.ReplayGated(short, short, -5, nil); err != nil || f != 0 || fc != 0 {
 		t.Fatalf("ReplayGated on negative n: (%d,%d,%v), want zeros", f, fc, err)
 	}
 }
 
 // TestFleetRunSpansMatchesRun checks the fleet span path — run-boundary
-// segment cutting, per-lane power walks, the scoreFrom straddle — against
-// the plain fleet and the single-machine kernel, including deduped twins.
+// segment cutting, per-lane power walks, the scoreFrom straddle — and
+// the plain fleet pass against the scalar oracle, sequential and
+// sharded, including deduped twins.
 func TestFleetRunSpansMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 25; trial++ {
@@ -245,24 +254,24 @@ func TestFleetRunSpansMatchesRun(t *testing.T) {
 		}
 		n := rng.Intn(4000)
 		bits := runnyBits(rng, n, 0.5+rng.Float64()*0.49, float64(1+rng.Intn(300)))
-		words := bits.Words()
-		runs := spanIndexOf(bits)
+		bools := bits.Bools()
 		skip := rng.Intn(n + 2)
-
-		want := fl.RunParallelSpans(1, words, n, skip, nil)
-		got := fl.RunSpans(words, n, skip, runs)
-		gotPar := fl.RunParallelSpans(3, words, n, skip, runs)
-		for j := range machines {
-			if got[j] != want[j] || gotPar[j] != want[j] {
-				t.Fatalf("trial %d machine %d: spans %+v par %+v, plain %+v",
-					trial, j, got[j], gotPar[j], want[j])
+		for _, ic := range indexCases(bits) {
+			for _, workers := range []int{1, 3} {
+				got := fl.Run(workers, bits.Words(), n, skip, ic.runs)
+				for j, m := range machines {
+					if want := m.SimulateScalar(bools, skip); got[j] != want {
+						t.Fatalf("trial %d %s workers=%d machine %d: fleet %+v, scalar %+v",
+							trial, ic.name, workers, j, got[j], want)
+					}
+				}
 			}
 		}
 	}
 }
 
 // TestFleetReplayGatedSpansMatchesBlockTable checks the fleet's gated
-// span replay against the single-machine span kernel.
+// replay, with and without a run index, against the scalar oracle.
 func TestFleetReplayGatedSpansMatchesBlockTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	for trial := 0; trial < 25; trial++ {
@@ -278,53 +287,18 @@ func TestFleetReplayGatedSpansMatchesBlockTable(t *testing.T) {
 		n := rng.Intn(2000)
 		correct := runnyBits(rng, n, 0.9, 100)
 		valid := runnyBits(rng, n, 0.97, 300)
-		runs := spanIndexOf(correct)
-
-		gf, gfc, err := fl.ReplayGatedSpans(correct.Words(), valid.Words(), n, runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, m := range machines {
-			tab, err := CompileBlockTable(m)
+		for _, ic := range indexCases(correct) {
+			gf, gfc, err := fl.ReplayGated(correct.Words(), valid.Words(), n, ic.runs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wf, wfc, err := tab.ReplayGated(correct.Words(), valid.Words(), n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gf[j] != wf || gfc[j] != wfc {
-				t.Fatalf("trial %d machine %d: fleet (%d,%d), single (%d,%d)",
-					trial, j, gf[j], gfc[j], wf, wfc)
+			for j, m := range machines {
+				if wf, wfc := scalarReplayGated(m, correct, valid, n); gf[j] != wf || gfc[j] != wfc {
+					t.Fatalf("trial %d %s machine %d: fleet (%d,%d), scalar (%d,%d)",
+						trial, ic.name, j, gf[j], gfc[j], wf, wfc)
+				}
 			}
 		}
-	}
-}
-
-// TestSpanKernelToggle proves the toggle routes around the span path and
-// that both settings produce identical results.
-func TestSpanKernelToggle(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	m := randomMachine(rng, 12)
-	tab, err := CompileBlockTable(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bits := runnyBits(rng, 3000, 0.95, 80)
-	runs := spanIndexOf(bits)
-	on := tab.SimulatePackedSpans(bits.Words(), bits.Len(), 16, runs)
-
-	was := SetSpanKernel(false)
-	defer SetSpanKernel(was)
-	if !was {
-		t.Fatal("span kernel should default to enabled")
-	}
-	if SpanKernelEnabled() {
-		t.Fatal("SetSpanKernel(false) left the kernel enabled")
-	}
-	off := tab.SimulatePackedSpans(bits.Words(), bits.Len(), 16, runs)
-	if on != off {
-		t.Fatalf("toggle changed results: on %+v, off %+v", on, off)
 	}
 }
 
@@ -343,7 +317,7 @@ func TestSpanStatsAdvance(t *testing.T) {
 		t.Fatal("runny stream produced no runs")
 	}
 	before := SpanStats()
-	tab.SimulatePackedSpans(bits.Words(), bits.Len(), 0, runs)
+	tab.RunFrom(tab.StartState(), bits.Words(), bits.Len(), 0, runs)
 	after := SpanStats()
 	if after.Runs <= before.Runs || after.SkippedEvents <= before.SkippedEvents {
 		t.Fatalf("span counters did not advance: before %+v, after %+v", before, after)
@@ -366,7 +340,7 @@ func TestSpanTableConcurrent(t *testing.T) {
 	bits := runnyBits(rng, 20000, 0.96, 150)
 	words, n := bits.Words(), bits.Len()
 	runs := spanIndexOf(bits)
-	want := tab.SimulatePacked(words, n, 5)
+	want, _ := tab.RunFrom(tab.StartState(), words, n, 5, nil)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -374,7 +348,7 @@ func TestSpanTableConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for it := 0; it < 20; it++ {
-				if got := tab.SimulatePackedSpans(words, n, 5, runs); got != want {
+				if got, _ := tab.RunFrom(tab.StartState(), words, n, 5, runs); got != want {
 					t.Errorf("goroutine %d iter %d: %+v, want %+v", g, it, got, want)
 					return
 				}
@@ -384,8 +358,8 @@ func TestSpanTableConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkSpanKernel measures the span kernel against the block kernel
-// on 95%-bias streams across run-length regimes — short blips (runlen
+// BenchmarkSpanKernel measures RunFrom with a run index (span kernel)
+// against the same call with nil (block kernel) on 95%-bias streams across run-length regimes — short blips (runlen
 // 64: runs barely clear the index threshold) up to loop-dominated
 // structure (runlen 512+: a back-edge resolving the same way for
 // hundreds of iterations, the behaviour the paper's gcc/go traces
@@ -407,13 +381,13 @@ func BenchmarkSpanKernel(b *testing.B) {
 		b.Run(fmt.Sprintf("block/runlen=%d", runlen), func(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
-				tab.SimulatePacked(words, n, 0)
+				tab.RunFrom(tab.StartState(), words, n, 0, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("span/runlen=%d", runlen), func(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
-				tab.SimulatePackedSpans(words, n, 0, runs)
+				tab.RunFrom(tab.StartState(), words, n, 0, runs)
 			}
 		})
 		b.Run(fmt.Sprintf("index/runlen=%d", runlen), func(b *testing.B) {
@@ -427,7 +401,8 @@ func BenchmarkSpanKernel(b *testing.B) {
 
 // BenchmarkSpanBias sweeps the stream bias at fixed run structure
 // (mean run 256 events) — the source of the EXPERIMENTS.md bias-scaling
-// table. At bias 0.5 runs split evenly between the two values; toward
+// table; "off" passes a nil run index, "on" the stream's index. At
+// bias 0.5 runs split evenly between the two values; toward
 // 0.99 the stream approaches one solid run per index entry.
 func BenchmarkSpanBias(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
@@ -445,13 +420,13 @@ func BenchmarkSpanBias(b *testing.B) {
 		b.Run(fmt.Sprintf("off/bias=%g", bias), func(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
-				tab.SimulatePacked(words, n, 0)
+				tab.RunFrom(tab.StartState(), words, n, 0, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("on/bias=%g", bias), func(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
-				tab.SimulatePackedSpans(words, n, 0, runs)
+				tab.RunFrom(tab.StartState(), words, n, 0, runs)
 			}
 		})
 	}

@@ -62,9 +62,8 @@ type Options struct {
 	// Adaptive enables staged-fidelity candidate racing with the
 	// persistent fitness memo (internal/fidelity). Default off — the
 	// exact evaluator is the differential oracle the adaptive path is
-	// tested against. Adaptive requires the block kernel; with the
-	// kernel disabled the search silently runs exact. Best and
-	// BestMissRate are always exact full-trace values in either mode.
+	// tested against. Best and BestMissRate are always exact
+	// full-trace values in either mode.
 	Adaptive bool
 }
 
@@ -218,21 +217,19 @@ func Search(trace []bool, opt Options) (*Result, error) {
 	// every genome's fitness is its full-trace miss rate.
 	evaluateAll := func(batch []*genome) {
 		res.Evaluations += len(batch)
-		if fsm.BlockKernelEnabled() {
-			// Compile directly rather than through the shared block
-			// cache: a search burns through thousands of transient
-			// machines that would evict the serving workload's entries.
-			if tabs, ok := compileBatch(batch); ok {
-				fl := fsm.FleetOfTables(tabs)
-				rs := fl.RunParallelSpans(opt.Workers, words, n, opt.Warmup, runs)
-				for i, g := range batch {
-					g.miss, g.exact = rs[i].MissRate(), true
-				}
-				return
+		// Compile directly rather than through the shared block cache:
+		// a search burns through thousands of transient machines that
+		// would evict the serving workload's entries.
+		if tabs, ok := compileBatch(batch); ok {
+			fl := fsm.FleetOfTables(tabs)
+			rs := fl.Run(opt.Workers, words, n, opt.Warmup, runs)
+			for i, g := range batch {
+				g.miss, g.exact = rs[i].MissRate(), true
 			}
+			return
 		}
-		// Scalar oracle: per-genome bit-at-a-time simulation. The
-		// kernel on/off differential test pins the two paths together.
+		// Unreachable for generated genomes (<= 64 valid states); score
+		// per genome defensively.
 		for _, g := range batch {
 			g.miss, g.exact = g.m.Simulate(trace, opt.Warmup).MissRate(), true
 		}
@@ -241,7 +238,7 @@ func Search(trace []bool, opt Options) (*Result, error) {
 	// Adaptive plumbing. The ladder is nil when the trace is too short
 	// to stage, in which case adaptive mode degenerates to exact
 	// scoring through the memo — same fitness values, same trajectory.
-	adaptive := opt.Adaptive && fsm.BlockKernelEnabled()
+	adaptive := opt.Adaptive
 	var (
 		ladder *fidelity.Ladder
 		digest fidelity.Key
@@ -338,7 +335,7 @@ func Search(trace []bool, opt Options) (*Result, error) {
 			misses = ladder.ScoreExact(tabs)
 		} else {
 			fl := fsm.FleetOfTables(tabs)
-			rs := fl.RunParallelSpans(opt.Workers, words, n, opt.Warmup, runs)
+			rs := fl.Run(opt.Workers, words, n, opt.Warmup, runs)
 			misses = make([]float64, len(rs))
 			for i, r := range rs {
 				misses[i] = r.MissRate()

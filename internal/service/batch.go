@@ -248,7 +248,7 @@ func (s *Service) flushSimulations(key string, items []simItem) []batch.Outcome[
 		// group — the span kernel then skips each homogeneous stretch
 		// once per unique machine instead of walking it byte by byte.
 		runs := bitseq.Runs(tr.Words(), tr.Len(), bitseq.DefaultMinRunBytes)
-		res := fl.RunSpans(tr.Words(), tr.Len(), skip, runs)
+		res := fl.Run(1, tr.Words(), tr.Len(), skip, runs)
 		for k, i := range idxs {
 			outs[i].Val = res[k]
 		}

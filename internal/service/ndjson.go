@@ -69,6 +69,11 @@ type lineFunc func(ctx context.Context, index int, line []byte, lineErr error) a
 // is ready. Blank lines are ignored and do not consume an index.
 func ndjsonHandler(process lineFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		// Response lines flush while the body is still being read. Go's
+		// HTTP/1 server otherwise discards (or refuses) the unread body
+		// at the first flush, cutting the stream short; HTTP/2 is full
+		// duplex already and reports not-supported, which is harmless.
+		_ = http.NewResponseController(w).EnableFullDuplex()
 		w.Header().Set("Content-Type", "application/x-ndjson")
 
 		// One writer goroutine owns the ResponseWriter; workers hand it

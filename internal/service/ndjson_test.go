@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -277,5 +278,85 @@ func TestBatchNDJSONConcurrentClients(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestBatchNDJSONLargeBodiesKeepEveryLine is the HTTP/1.1 full-duplex
+// regression: the handler flushes response lines while it is still
+// reading the request body, which Go's HTTP/1 server by default answers
+// by discarding (or refusing) the unread rest of the body. Bodies far
+// larger than one client write — 64 lines, each an 8 KiB inline trace —
+// must still get exactly one non-error answer per line, equal to the
+// unary result.
+func TestBatchNDJSONLargeBodiesKeepEveryLine(t *testing.T) {
+	s, url := batchTestServer(t, Config{Workers: 2, BatchMaxWait: 200 * time.Microsecond})
+	m := &fsm.Machine{
+		Output: []bool{false, false, true, true},
+		Next:   [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
+	}
+	mj, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		bodies    = 20
+		lines     = 64
+		traceLen  = 8 << 10
+		distinct  = 8
+		skipLines = 3
+	)
+	rng := rand.New(rand.NewSource(13))
+	traces := make([]string, distinct)
+	want := make([]fsm.SimResult, distinct)
+	for k := range traces {
+		b := make([]byte, traceLen)
+		for i := range b {
+			b[i] = '0' + byte(rng.Intn(2))
+		}
+		traces[k] = string(b)
+		bits := mustBits(t, traces[k])
+		res, err := s.Simulate(m, bits, skipLines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = res
+	}
+	for p := 0; p < bodies; p++ {
+		var body bytes.Buffer
+		for i := 0; i < lines; i++ {
+			fmt.Fprintf(&body, `{"machine":%s,"trace":%q,"skip":%d}`+"\n", mj, traces[(p+i)%distinct], skipLines)
+		}
+		resp, err := http.Post(url+"/v1/batch/simulate", "application/x-ndjson", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[int]BatchSimulateLine)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var line BatchSimulateLine
+			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+				t.Fatalf("body %d: bad response line %q: %v", p, sc.Text(), err)
+			}
+			if _, dup := got[line.Index]; dup {
+				t.Fatalf("body %d: index %d answered twice", p, line.Index)
+			}
+			got[line.Index] = line
+		}
+		resp.Body.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatalf("body %d: %v", p, err)
+		}
+		for i := 0; i < lines; i++ {
+			line, ok := got[i]
+			switch {
+			case !ok:
+				t.Fatalf("body %d: index %d unanswered (%d of %d lines came back)", p, i, len(got), lines)
+			case line.Error != "":
+				t.Fatalf("body %d: index %d: %s", p, i, line.Error)
+			}
+			if w := want[(p+i)%distinct]; line.Result.Total != w.Total || line.Result.Correct != w.Correct {
+				t.Fatalf("body %d: index %d: %+v, unary %+v", p, i, line.Result, w)
+			}
+		}
 	}
 }
