@@ -1,9 +1,10 @@
 package bitseq
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -152,23 +153,11 @@ func (c Cube) Intersection(d Cube) (Cube, bool) {
 // Minterms enumerates every history the cube matches, in ascending order.
 // It allocates 2^FreeCount entries; callers must keep widths small.
 func (c Cube) Minterms() []uint32 {
-	free := make([]int, 0, c.FreeCount())
-	for i := 0; i < c.Width; i++ {
-		if c.Care>>uint(i)&1 == 0 {
-			free = append(free, i)
-		}
-	}
-	out := make([]uint32, 0, 1<<uint(len(free)))
-	for k := uint32(0); k < 1<<uint(len(free)); k++ {
-		h := c.Value
-		for j, pos := range free {
-			if k>>uint(j)&1 == 1 {
-				h |= 1 << uint(pos)
-			}
-		}
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]uint32, 0, c.Size())
+	c.EachMinterm(func(m uint32) bool {
+		out = append(out, m)
+		return true
+	})
 	return out
 }
 
@@ -220,13 +209,14 @@ func (c Cube) Combine(d Cube) (Cube, bool) {
 // SortCubes orders cubes deterministically: by descending size (more
 // general first), then ascending care mask, then ascending value.
 func SortCubes(cs []Cube) {
-	sort.Slice(cs, func(i, j int) bool {
-		a, b := cs[i], cs[j]
+	slices.SortFunc(cs, func(a, b Cube) int {
 		if a.Care != b.Care {
-			return bits.OnesCount32(a.Care) < bits.OnesCount32(b.Care) ||
-				(bits.OnesCount32(a.Care) == bits.OnesCount32(b.Care) && a.Care < b.Care)
+			if pa, pb := bits.OnesCount32(a.Care), bits.OnesCount32(b.Care); pa != pb {
+				return pa - pb
+			}
+			return cmp.Compare(a.Care, b.Care)
 		}
-		return a.Value < b.Value
+		return cmp.Compare(a.Value, b.Value)
 	})
 }
 

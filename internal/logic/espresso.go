@@ -1,7 +1,8 @@
 package logic
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"fsmpredict/internal/bitseq"
 )
@@ -21,8 +22,13 @@ func MinimizeHeuristic(p Problem) ([]bitseq.Cube, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	return minimizeHeuristic(p), nil
+}
+
+// minimizeHeuristic is MinimizeHeuristic on a validated problem.
+func minimizeHeuristic(p Problem) []bitseq.Cube {
 	if len(p.On) == 0 {
-		return nil, nil
+		return nil
 	}
 
 	u := 1 << uint(p.Width)
@@ -66,7 +72,7 @@ func MinimizeHeuristic(p Problem) ([]bitseq.Cube, error) {
 		cover, best = candidate, cost
 	}
 	bitseq.SortCubes(cover)
-	return cover, nil
+	return cover
 }
 
 // coversAll reports whether every on-set minterm is matched by the cover.
@@ -144,15 +150,15 @@ func irredundant(cover []bitseq.Cube, onSet *bitseq.Set) []bitseq.Cube {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := cover[order[a]], cover[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		ca, cb := cover[a], cover[b]
 		if ca.Literals() != cb.Literals() {
-			return ca.Literals() > cb.Literals() // most specific first
+			return cb.Literals() - ca.Literals() // most specific first
 		}
 		if ca.Care != cb.Care {
-			return ca.Care < cb.Care
+			return cmp.Compare(ca.Care, cb.Care)
 		}
-		return ca.Value < cb.Value
+		return cmp.Compare(ca.Value, cb.Value)
 	})
 	removed := make([]bool, len(cover))
 	for _, i := range order {

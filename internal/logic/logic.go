@@ -7,22 +7,22 @@
 //
 // Two engines are provided:
 //
-//   - Quine–McCluskey (MinimizeQM): exact prime-implicant generation
-//     followed by unate covering with essential-prime extraction, row and
-//     column dominance, and exact branch-and-bound on small residual
-//     tables (greedy beyond a size limit).
+//   - Quine–McCluskey (MinimizeQM, width ≤ 12): exact prime-implicant
+//     generation over a dense bit-parallel implicant table, then unate
+//     covering with essential-prime extraction and exact branch-and-bound
+//     on small residual tables (greedy beyond a size limit).
 //   - Espresso-style heuristic (MinimizeHeuristic): the classic
 //     EXPAND / IRREDUNDANT / REDUCE loop working directly on cubes, which
 //     scales to wider inputs without enumerating all primes.
 //
-// Both engines are verified against each other and against the functional
-// specification by the package tests.
+// Both engines are verified against each other, against brute force and
+// against the functional specification by the package tests.
 package logic
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"fsmpredict/internal/bitseq"
@@ -44,21 +44,21 @@ func (p Problem) Validate() error {
 		return fmt.Errorf("logic: width %d out of range [1,24]", p.Width)
 	}
 	mask := uint32(1)<<uint(p.Width) - 1
-	seen := make(map[uint32]byte, len(p.On)+len(p.DC))
+	// A dense on-set: 2^Width bits, no larger than either engine's own sets.
+	on := bitseq.NewSet(1 << p.Width)
 	for _, m := range p.On {
 		if m&^mask != 0 {
 			return fmt.Errorf("logic: on-set minterm %#x exceeds width %d", m, p.Width)
 		}
-		seen[m] |= 1
+		on.Add(int(m))
 	}
 	for _, m := range p.DC {
 		if m&^mask != 0 {
 			return fmt.Errorf("logic: dc-set minterm %#x exceeds width %d", m, p.Width)
 		}
-		if seen[m]&1 != 0 {
+		if on.Has(int(m)) {
 			return fmt.Errorf("logic: minterm %#x in both on-set and dc-set", m)
 		}
-		seen[m] |= 2
 	}
 	return nil
 }
@@ -137,142 +137,139 @@ func Verify(p Problem, cover []bitseq.Cube) error {
 	return nil
 }
 
-// Minimize picks an engine appropriate for the problem size: QM when the
-// combined on+dc set is small enough for prime enumeration, the heuristic
-// engine otherwise. This mirrors how Espresso is used in the paper: exact
-// quality on the small per-predictor tables, graceful degradation beyond.
+// maxExactWidth bounds the exact engine, whose implicant table takes up
+// to 2^Width bits for each of 2^Width freed-position masks (2 MiB at 12).
+const maxExactWidth = 12
+
+// Minimize picks an engine appropriate for the problem size: QM up to
+// width 12, the heuristic engine above. This mirrors how Espresso is used
+// in the paper: exact quality on the small per-predictor tables, graceful
+// degradation beyond.
 func Minimize(p Problem) ([]bitseq.Cube, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if p.Width <= 12 && len(p.On)+len(p.DC) <= 4096 {
-		qm, err := MinimizeQM(p)
-		if err != nil {
-			return nil, err
-		}
-		// The heuristic occasionally beats pure QM-with-greedy-cover on
-		// literal count; keep whichever is cheaper.
-		he, err := MinimizeHeuristic(p)
-		if err != nil {
-			return qm, nil
-		}
-		if CoverCost(he).Less(CoverCost(qm)) {
-			return he, nil
-		}
-		return qm, nil
+	if p.Width > maxExactWidth {
+		return minimizeHeuristic(p), nil
 	}
-	return MinimizeHeuristic(p)
+	// The heuristic occasionally beats pure QM-with-greedy-cover on
+	// literal count; keep whichever is cheaper.
+	qm, he := minimizeQM(p), minimizeHeuristic(p)
+	if CoverCost(he).Less(CoverCost(qm)) {
+		return he, nil
+	}
+	return qm, nil
 }
 
-// MinimizeQM runs Quine–McCluskey prime generation over the on+dc set and
-// then solves the covering problem for the on-set.
+// MinimizeQM runs Quine–McCluskey prime generation over the on+dc set,
+// then solves the covering problem for the on-set. It rejects width > 12.
 func MinimizeQM(p Problem) ([]bitseq.Cube, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if len(p.On) == 0 {
-		return nil, nil
+	if p.Width > maxExactWidth {
+		return nil, fmt.Errorf("logic: width %d exceeds the exact engine's bound %d", p.Width, maxExactWidth)
 	}
-	primes := PrimeImplicants(p)
-	cover := solveCover(p.On, primes, p.Width)
-	bitseq.SortCubes(cover)
-	return cover, nil
+	return minimizeQM(p), nil
 }
 
-// qmScratch holds the per-call working set of PrimeImplicants, pooled so
-// the designer's steady state stops allocating the tabular method's
-// level-by-level buffers.
+// minimizeQM is MinimizeQM on a validated problem.
+func minimizeQM(p Problem) []bitseq.Cube {
+	if len(p.On) == 0 {
+		return nil
+	}
+	cover := solveCover(p.On, PrimeImplicants(p))
+	bitseq.SortCubes(cover)
+	return cover
+}
+
+// qmScratch holds PrimeImplicants' implicant table, pooled so the
+// designer's steady state reuses one arena across calls.
 type qmScratch struct {
-	cur, next []bitseq.Cube
-	used      []bool
+	arena []uint64 // the non-empty tables, one after another
+	off   []int    // freed-position mask -> table offset in arena, -1 if empty
 }
 
 var qmPool = sync.Pool{New: func() any { return new(qmScratch) }}
 
-// sortDedupLevel orders one QM level by (care, value popcount, value) —
-// the grouping key of the tabular method — and drops duplicate cubes.
-func sortDedupLevel(cubes []bitseq.Cube) []bitseq.Cube {
-	sort.Slice(cubes, func(i, j int) bool {
-		a, b := cubes[i], cubes[j]
-		if a.Care != b.Care {
-			return a.Care < b.Care
-		}
-		pa, pb := bits.OnesCount32(a.Value), bits.OnesCount32(b.Value)
-		if pa != pb {
-			return pa < pb
-		}
-		return a.Value < b.Value
-	})
-	out := cubes[:0]
-	for i, c := range cubes {
-		if i == 0 || c.Value != cubes[i-1].Value || c.Care != cubes[i-1].Care {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// PrimeImplicants generates all prime implicants of the on+dc set using
-// iterated pairwise combination (the tabular Quine–McCluskey method).
-// Each level is a sorted, deduplicated slice; cubes sharing a care mask
-// and value popcount form a contiguous run, and a run's only plausible
-// combine partners are the next run when it has the same care mask and
-// popcount one higher.
+// PrimeImplicants generates all prime implicants of the on+dc set, in
+// bitseq.SortCubes order, or nil above width 12. For each freed-position
+// mask F a dense table holds one bit per value v with v&F == 0, set when
+// the cube (v, full&^F) covers only on+dc minterms. Table 0 is on ∪ dc;
+// table G is table G&^b, b = lowbit(G), AND-ed with itself shifted down
+// by b — the tabular method's combine step, a word at a time and with no
+// sorting. Supersets of an empty table's mask are empty and never stored.
+// An implicant is prime when no table F|b, expanded back along b, holds it.
 func PrimeImplicants(p Problem) []bitseq.Cube {
-	s := qmPool.Get().(*qmScratch)
-	cur := s.cur[:0]
-	for _, m := range p.On {
-		cur = append(cur, bitseq.Minterm(m, p.Width))
+	if p.Width > maxExactWidth {
+		return nil
 	}
-	for _, m := range p.DC {
-		cur = append(cur, bitseq.Minterm(m, p.Width))
+	full := 1<<p.Width - 1
+	nw := (full + 64) / 64
+	s := qmPool.Get().(*qmScratch)
+	arena := slices.Grow(s.arena[:0], nw)[:nw]
+	clear(arena)
+	for _, set := range [][]uint32{p.On, p.DC} {
+		for _, m := range set {
+			arena[m>>6] |= 1 << (m & 63)
+		}
+	}
+	off := append(s.off[:0], 0)
+	for g := 1; g <= full; g++ {
+		b := bits.TrailingZeros(uint(g))
+		src := off[g&^(1<<b)]
+		if src < 0 {
+			off = append(off, -1)
+			continue
+		}
+		o := len(arena)
+		arena = slices.Grow(arena, nw)[:o+nw]
+		half := ^uint64(0) / (1<<(1<<b) + 1) // bits whose index has bit b clear, for b < 6
+		var nz uint64
+		for i := 0; i < nw; i++ {
+			x := arena[src+i]
+			if b < 6 {
+				x &= x >> (1 << b) & half
+			} else if d := 1 << (b - 6); i&d == 0 {
+				x &= arena[src+i+d]
+			} else {
+				x = 0
+			}
+			arena[o+i] = x
+			nz |= x
+		}
+		if nz == 0 {
+			arena, o = arena[:o], -1
+		}
+		off = append(off, o)
 	}
 
+	// Emit in bitseq.SortCubes order: most freed positions first, then
+	// descending freed mask (ascending care), then ascending value.
 	var primes []bitseq.Cube
-	next := s.next[:0]
-	for len(cur) > 0 {
-		cur = sortDedupLevel(cur)
-		used := s.used[:0]
-		for range cur {
-			used = append(used, false)
-		}
-		next = next[:0]
-		// Walk the (care, pop) runs; run = cur[start:end).
-		for start := 0; start < len(cur); {
-			care, pop := cur[start].Care, bits.OnesCount32(cur[start].Value)
-			end := start + 1
-			for end < len(cur) && cur[end].Care == care && bits.OnesCount32(cur[end].Value) == pop {
-				end++
+	for k := p.Width; k >= 0; k-- {
+		for f := full; f >= 0; f-- {
+			if off[f] < 0 || bits.OnesCount(uint(f)) != k {
+				continue
 			}
-			// Partner run: cubes with the same care mask and one more set
-			// bit, which the ordering places immediately after.
-			pEnd := end
-			if end < len(cur) && cur[end].Care == care && bits.OnesCount32(cur[end].Value) == pop+1 {
-				pEnd = end + 1
-				for pEnd < len(cur) && cur[pEnd].Care == care && bits.OnesCount32(cur[pEnd].Value) == pop+1 {
-					pEnd++
-				}
-			}
-			for i := start; i < end; i++ {
-				for j := end; j < pEnd; j++ {
-					if m, ok := cur[i].Combine(cur[j]); ok {
-						used[i], used[j] = true, true
-						next = append(next, m)
+			for i := 0; i < nw; i++ {
+				x := arena[off[f]+i]
+				// Expand each table F|b back along b: within the word for
+				// b < 6 (a shift of 64 or more is 0 in Go), across words above.
+				for c := full &^ f; c != 0 && x != 0; c &= c - 1 {
+					if b := bits.TrailingZeros(uint(c)); off[f|1<<b] >= 0 {
+						y := arena[off[f|1<<b]+i&^(1<<b>>6)]
+						x &^= y | y<<(1<<b)
 					}
 				}
-			}
-			start = end
-		}
-		for i, c := range cur {
-			if !used[i] {
-				primes = append(primes, c)
+				for ; x != 0; x &= x - 1 {
+					v := i<<6 | bits.TrailingZeros64(x)
+					primes = append(primes, bitseq.Cube{Value: uint32(v), Care: uint32(full &^ f), Width: p.Width})
+				}
 			}
 		}
-		s.used = used
-		cur, next = next, cur[:0]
 	}
-	bitseq.SortCubes(primes)
-	s.cur, s.next = cur[:0], next[:0]
+	s.arena, s.off = arena[:0], off[:0]
 	qmPool.Put(s)
 	return primes
 }
@@ -283,17 +280,10 @@ const coverLimit = 26
 
 // solveCover selects a minimal (or near-minimal) subset of primes that
 // covers all on-set minterms.
-func solveCover(on []uint32, primes []bitseq.Cube, width int) []bitseq.Cube {
-	// Deduplicate the on-set.
-	onSet := make([]uint32, 0, len(on))
-	seen := make(map[uint32]bool, len(on))
-	for _, m := range on {
-		if !seen[m] {
-			seen[m] = true
-			onSet = append(onSet, m)
-		}
-	}
-	sort.Slice(onSet, func(i, j int) bool { return onSet[i] < onSet[j] })
+func solveCover(on []uint32, primes []bitseq.Cube) []bitseq.Cube {
+	onSet := slices.Clone(on)
+	slices.Sort(onSet)
+	onSet = slices.Compact(onSet)
 
 	// Build the covering table.
 	coversOf := make([][]int, len(onSet)) // minterm index -> prime indexes
@@ -422,15 +412,9 @@ func exactCover(resM, resP []int, mintermsOf [][]int, already []bool, primes []b
 	masks := make([]uint32, len(resP))
 	for i, pi := range resP {
 		for _, mi := range mintermsOf[pi] {
-			if b, ok := idx[mi]; ok && !already[mi] {
+			if b, ok := idx[mi]; ok {
 				masks[i] |= 1 << uint(b)
 			}
-		}
-	}
-	var start uint32
-	for _, mi := range resM {
-		if already[mi] {
-			start |= 1 << uint(idx[mi])
 		}
 	}
 
@@ -483,6 +467,6 @@ func exactCover(resM, resP []int, mintermsOf [][]int, already []bool, primes []b
 			}
 		}
 	}
-	rec(start, nil)
+	rec(0, nil) // resM holds only minterms no chosen prime covers yet
 	return best
 }
