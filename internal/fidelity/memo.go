@@ -67,11 +67,7 @@ var (
 	sweepCache   = memo.New[Key, []fsm.SimResult](sweepEntries, func(v []fsm.SimResult) uint64 {
 		return uint64(16*len(v)) + 64
 	})
-	disk atomic.Pointer[disktier.Store]
 
-	hits      atomic.Uint64
-	diskHits  atomic.Uint64
-	misses    atomic.Uint64
 	rungEvals atomic.Uint64
 	pruned    atomic.Uint64
 	escalated atomic.Uint64
@@ -100,10 +96,11 @@ type Stats struct {
 // Snapshot returns the current counters.
 func Snapshot() Stats {
 	cs := fitnessCache.Stats()
+	both := cs.Add(sweepCache.Stats())
 	return Stats{
-		Hits:      hits.Load(),
-		DiskHits:  diskHits.Load(),
-		Misses:    misses.Load(),
+		Hits:      both.Hits + both.TierHits,
+		DiskHits:  both.TierHits,
+		Misses:    both.Misses,
 		RungEvals: rungEvals.Load(),
 		Pruned:    pruned.Load(),
 		Escalated: escalated.Load(),
@@ -114,8 +111,34 @@ func Snapshot() Stats {
 
 // SetDiskTier attaches a disk store beneath the fitness and sweep memos
 // (nil detaches). Intended to be called once at startup via
-// cachewire.Setup, alongside the block-table and trace tiers.
-func SetDiskTier(d *disktier.Store) { disk.Store(d) }
+// cachewire.Setup, alongside the block-table and trace tiers. Artifacts
+// are validated on decode, so a corrupt one reads as a miss.
+func SetDiskTier(d *disktier.Store) {
+	if d == nil {
+		fitnessCache.SetTier2(nil, nil)
+		sweepCache.SetTier2(nil, nil)
+		return
+	}
+	fitnessCache.SetTier2(
+		func(k Key) (float64, bool) { return diskGet(d, fitnessKind, fitnessVersion, k, decodeFitness) },
+		func(k Key, miss float64) { d.Put(fitnessKind, fitnessVersion, k.hex(), encodeFitness(miss)) },
+	)
+	sweepCache.SetTier2(
+		func(k Key) ([]fsm.SimResult, bool) { return diskGet(d, sweepKind, sweepVersion, k, decodeSweep) },
+		func(k Key, v []fsm.SimResult) { d.Put(sweepKind, sweepVersion, k.hex(), encodeSweep(v)) },
+	)
+}
+
+// diskGet reads and decodes one artifact from the disk tier.
+func diskGet[V any](d *disktier.Store, kind string, version byte, k Key, decode func([]byte) (V, bool)) (V, bool) {
+	blob, ok := d.Get(kind, version, k.hex())
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	defer blob.Close()
+	return decode(blob.Data)
+}
 
 // ResetMemo drops both in-process tiers (counters and any disk tier
 // remain). Warm-start measurement uses it to force the next lookups
@@ -186,71 +209,22 @@ func DigestKey(domain string, parts ...[]byte) Key {
 	return k
 }
 
-// MemoGet returns the memoized exact miss rate for a key. On an
-// in-process miss it consults the disk tier, installing (and counting)
-// a validated artifact before returning it.
-func MemoGet(k Key) (float64, bool) {
-	if v, ok := fitnessCache.Get(k); ok {
-		hits.Add(1)
-		return v, true
-	}
-	if d := disk.Load(); d != nil {
-		if blob, ok := d.Get(fitnessKind, fitnessVersion, k.hex()); ok {
-			v, ok2 := decodeFitness(blob.Data)
-			blob.Close()
-			if ok2 {
-				fitnessCache.Put(k, v)
-				hits.Add(1)
-				diskHits.Add(1)
-				return v, true
-			}
-		}
-	}
-	misses.Add(1)
-	return 0, false
-}
+// MemoGet returns the memoized exact miss rate for a key, consulting
+// the disk tier on an in-process miss.
+func MemoGet(k Key) (float64, bool) { return fitnessCache.Get(k) }
 
-// MemoPut records an exact full-fidelity miss rate. Callers must never
-// store estimates — the memo's whole guarantee is that a hit is
-// indistinguishable from re-running the full simulation.
-func MemoPut(k Key, miss float64) {
-	fitnessCache.Put(k, miss)
-	if d := disk.Load(); d != nil {
-		d.Put(fitnessKind, fitnessVersion, k.hex(), encodeFitness(miss))
-	}
-}
+// MemoPut records an exact full-fidelity miss rate in both tiers.
+// Callers must never store estimates — the memo's whole guarantee is
+// that a hit is indistinguishable from re-running the full simulation.
+func MemoPut(k Key, miss float64) { fitnessCache.Put(k, miss) }
 
 // SweepGet returns a memoized exact result vector (figure sweep or
 // sampled-miss batch), consulting the disk tier on an in-process miss.
-func SweepGet(k Key) ([]fsm.SimResult, bool) {
-	if v, ok := sweepCache.Get(k); ok {
-		hits.Add(1)
-		return v, true
-	}
-	if d := disk.Load(); d != nil {
-		if blob, ok := d.Get(sweepKind, sweepVersion, k.hex()); ok {
-			v, ok2 := decodeSweep(blob.Data)
-			blob.Close()
-			if ok2 {
-				sweepCache.Put(k, v)
-				hits.Add(1)
-				diskHits.Add(1)
-				return v, true
-			}
-		}
-	}
-	misses.Add(1)
-	return nil, false
-}
+func SweepGet(k Key) ([]fsm.SimResult, bool) { return sweepCache.Get(k) }
 
-// SweepPut records an exact result vector. Like MemoPut, estimates must
-// never be stored.
-func SweepPut(k Key, v []fsm.SimResult) {
-	sweepCache.Put(k, v)
-	if d := disk.Load(); d != nil {
-		d.Put(sweepKind, sweepVersion, k.hex(), encodeSweep(v))
-	}
-}
+// SweepPut records an exact result vector in both tiers. Like MemoPut,
+// estimates must never be stored.
+func SweepPut(k Key, v []fsm.SimResult) { sweepCache.Put(k, v) }
 
 // encodeFitness renders a miss rate as its exact IEEE-754 bits.
 func encodeFitness(miss float64) []byte {

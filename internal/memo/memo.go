@@ -1,15 +1,17 @@
 // Package memo provides the bounded content-addressed cache primitive
 // shared by the serving layer and the simulation kernels: an LRU map
-// with singleflight request coalescing and hit/miss/byte statistics.
+// with singleflight request coalescing, an optional second (disk) tier
+// and hit/tier-hit/miss/byte statistics.
 //
-// It generalizes the two caches that grew independently in earlier
-// revisions — the service's design-result LRU and the trace store's
-// singleflight table — into one type: values are immutable once
-// inserted and shared by all readers, concurrent requests for a missing
-// key block on the one in-flight computation instead of duplicating
-// it, and an optional validator lets callers content-verify a hit when
-// the key is a lossy digest of the source (the fsm block-table cache
-// keys on a 64-bit machine hash and re-checks the machine itself).
+// It is the one cache behind the process-wide artifact caches — the fsm
+// block-table cache, the trace store's branch, load and confidence
+// tables, and the fitness and sweep memos — and the service's design
+// LRU: values are immutable once inserted and shared by all readers,
+// concurrent requests for a missing key block on the one in-flight
+// computation instead of duplicating it, and an optional validator lets
+// callers content-verify a hit when the key is a lossy digest of the
+// source (the fsm block-table cache keys on a 64-bit machine hash and
+// re-checks the machine itself).
 package memo
 
 import (
@@ -23,16 +25,28 @@ type Stats struct {
 	// requests coalesced onto another caller's in-flight computation.
 	Hits uint64
 	// TierHits counts lookups served by the second tier (disk) instead
-	// of a recompute. Before the tiered stats split, these were
-	// indistinguishable from Misses.
+	// of a recompute or a miss.
 	TierHits uint64
-	// Misses counts computations actually run.
+	// Misses counts lookups neither tier could serve: computations
+	// actually run by Do, and empty-handed Gets.
 	Misses uint64
 	// Entries is the current number of cached values.
 	Entries uint64
 	// Bytes is the retained size of the cached values, as reported by
 	// the size function (0 when no size function was given).
 	Bytes uint64
+}
+
+// Add returns the field-wise sum of two snapshots, for owners that
+// report several caches as one.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Hits:     s.Hits + o.Hits,
+		TierHits: s.TierHits + o.TierHits,
+		Misses:   s.Misses + o.Misses,
+		Entries:  s.Entries + o.Entries,
+		Bytes:    s.Bytes + o.Bytes,
+	}
 }
 
 // Cache is a bounded LRU keyed by K. The zero value is not usable;
@@ -49,9 +63,10 @@ type Cache[K comparable, V any] struct {
 	misses   uint64
 	bytes    uint64
 
-	// Optional second tier, consulted inside the singleflight slot on a
-	// miss before compute runs, and filled after a compute. Both calls
-	// happen outside the cache lock — they are expected to do disk IO.
+	// Optional second tier, consulted on a miss (inside the singleflight
+	// slot for Do, before compute runs) and filled after a compute or
+	// Put. Both calls happen outside the cache lock — they are expected
+	// to do disk IO.
 	tier2Load  func(K) (V, bool)
 	tier2Store func(K, V)
 }
@@ -64,6 +79,7 @@ type entry[K comparable, V any] struct {
 type flight[V any] struct {
 	done chan struct{}
 	val  V
+	ok   bool // val was computed or loaded; false if the owner panicked
 }
 
 // New returns a cache holding at most max entries (max < 1 is treated
@@ -82,27 +98,51 @@ func New[K comparable, V any](max int, size func(V) uint64) *Cache[K, V] {
 	}
 }
 
-// Get returns the cached value for the key, refreshing its recency.
+// Get returns the cached value for the key, refreshing its recency. On
+// an in-process miss it consults the second tier, if one is attached,
+// and installs a value found there (counted in Stats.TierHits). Unlike
+// Do, concurrent Gets for one missing key are not coalesced.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	c.mu.Lock()
+	if el, ok := c.byKey[k]; ok {
+		c.order.MoveToFront(el)
+		c.hits++
+		v := el.Value.(*entry[K, V]).val
+		c.mu.Unlock()
+		return v, true
+	}
+	load := c.tier2Load
+	if load == nil {
+		c.misses++
+		c.mu.Unlock()
+		var zero V
+		return zero, false
+	}
+	c.mu.Unlock()
+	v, ok := load(k)
+	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[k]
 	if !ok {
 		c.misses++
 		var zero V
 		return zero, false
 	}
-	c.order.MoveToFront(el)
-	c.hits++
-	return el.Value.(*entry[K, V]).val, true
+	c.tierHits++
+	c.putLocked(k, v)
+	return v, true
 }
 
 // Put inserts a value, replacing any existing entry for the key and
-// evicting the least recently used entries beyond the bound.
+// evicting the least recently used entries beyond the bound, then
+// publishes it to the second tier, if one is attached.
 func (c *Cache[K, V]) Put(k K, v V) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.putLocked(k, v)
+	store := c.tier2Store
+	c.mu.Unlock()
+	if store != nil {
+		store(k, v)
+	}
 }
 
 func (c *Cache[K, V]) putLocked(k K, v V) {
@@ -134,12 +174,13 @@ func (c *Cache[K, V]) removeLocked(el *list.Element) {
 }
 
 // SetTier2 attaches (or, with nils, detaches) a second cache tier —
-// in practice a disk store. On a miss the owning Do call consults load
-// before computing; a validated tier-2 value is installed in the
-// in-process tier and counted in Stats.TierHits, distinguishable from
-// a recompute (Stats.Misses). After an actual compute, store publishes
-// the fresh value to the tier. Both functions run outside the cache
-// lock and must be safe for concurrent use.
+// in practice a disk store. On a miss, Get and the owning Do call
+// consult load before giving up or computing; a tier-2 value (validated,
+// for Do) is installed in the in-process tier and counted in
+// Stats.TierHits, distinguishable from a miss (Stats.Misses). After an
+// actual compute, and on every Put, store publishes the fresh value to
+// the tier. Both functions run outside the cache lock and must be safe
+// for concurrent use.
 func (c *Cache[K, V]) SetTier2(load func(K) (V, bool), store func(K, V)) {
 	c.mu.Lock()
 	c.tier2Load, c.tier2Store = load, store
@@ -185,10 +226,10 @@ func (c *Cache[K, V]) Do(k K, valid func(V) bool, compute func() V) V {
 		if f, ok := c.flight[k]; ok {
 			c.mu.Unlock()
 			<-f.done
-			// The in-flight computation may have been for a colliding
-			// source; re-validate before sharing, else retry as the
-			// computing caller.
-			if valid == nil || valid(f.val) {
+			// The in-flight computation may have panicked, or been for
+			// a colliding source; share only a finished, valid value,
+			// else retry as the computing caller.
+			if f.ok && (valid == nil || valid(f.val)) {
 				c.mu.Lock()
 				c.hits++
 				c.mu.Unlock()
@@ -202,25 +243,24 @@ func (c *Cache[K, V]) Do(k K, valid func(V) bool, compute func() V) V {
 		c.mu.Unlock()
 
 		// Always release waiters and clear the flight, even if compute
-		// panics (waiters then see the zero value, fail validation and
-		// recompute for themselves).
-		computed := false
+		// panics (waiters then see f.ok unset and retry for themselves).
+		// The flight is gone before done closes, so a retrying waiter
+		// finds the installed entry or starts a flight of its own.
 		defer func() {
-			close(f.done)
 			c.mu.Lock()
 			delete(c.flight, k)
-			if computed {
+			if f.ok {
 				c.putLocked(k, f.val)
 			}
 			c.mu.Unlock()
+			close(f.done)
 		}()
 		if t2load != nil {
 			if v, ok := t2load(k); ok && (valid == nil || valid(v)) {
 				c.mu.Lock()
 				c.tierHits++
 				c.mu.Unlock()
-				f.val = v
-				computed = true
+				f.val, f.ok = v, true
 				return f.val
 			}
 		}
@@ -228,7 +268,7 @@ func (c *Cache[K, V]) Do(k K, valid func(V) bool, compute func() V) V {
 		c.misses++
 		c.mu.Unlock()
 		f.val = compute()
-		computed = true
+		f.ok = true
 		if t2store != nil {
 			t2store(k, f.val)
 		}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestGetPutLRU(t *testing.T) {
@@ -127,52 +128,120 @@ func TestBoundNeverExceeded(t *testing.T) {
 	}
 }
 
+// tierModes are the two ways a caller reaches the second tier: Do,
+// which loads or computes inside the singleflight slot, and the Get/Put
+// pair, which loads on a Get miss and publishes on Put.
+var tierModes = []struct {
+	name string
+	// fetch returns k's value, producing it with make (and, for a
+	// validating caller, checking it with valid) when neither tier has it.
+	fetch func(c *Cache[int, int], k int, valid func(int) bool, make func() int) int
+}{
+	{"Do", func(c *Cache[int, int], k int, valid func(int) bool, make func() int) int {
+		return c.Do(k, valid, make)
+	}},
+	{"GetPut", func(c *Cache[int, int], k int, _ func(int) bool, make func() int) int {
+		if v, ok := c.Get(k); ok {
+			return v
+		}
+		v := make()
+		c.Put(k, v)
+		return v
+	}},
+}
+
 func TestTier2HitDistinguishedFromRecompute(t *testing.T) {
-	disk := map[int]int{7: 70}
-	var loads, stores, computes int
-	c := New[int, int](4, nil)
-	c.SetTier2(
-		func(k int) (int, bool) { loads++; v, ok := disk[k]; return v, ok },
-		func(k, v int) { stores++; disk[k] = v },
-	)
+	for _, mode := range tierModes {
+		t.Run(mode.name, func(t *testing.T) {
+			disk := map[int]int{7: 70}
+			var loads, stores, computes int
+			c := New[int, int](4, nil)
+			c.SetTier2(
+				func(k int) (int, bool) { loads++; v, ok := disk[k]; return v, ok },
+				func(k, v int) { stores++; disk[k] = v },
+			)
 
-	// Key 7 is on "disk": served by tier 2, not recomputed.
-	if v := c.Do(7, nil, func() int { computes++; return -1 }); v != 70 {
-		t.Fatalf("Do(7) = %d, want 70 from tier 2", v)
-	}
-	// Key 8 is nowhere: recomputed and published to tier 2.
-	if v := c.Do(8, nil, func() int { computes++; return 80 }); v != 80 {
-		t.Fatalf("Do(8) = %d, want 80", v)
-	}
-	// Both now hit tier 1.
-	c.Do(7, nil, func() int { computes++; return -1 })
-	c.Do(8, nil, func() int { computes++; return -1 })
+			// Key 7 is on "disk": served by tier 2, not recomputed.
+			if v := mode.fetch(c, 7, nil, func() int { computes++; return -1 }); v != 70 {
+				t.Fatalf("fetch(7) = %d, want 70 from tier 2", v)
+			}
+			// Key 8 is nowhere: recomputed and published to tier 2.
+			if v := mode.fetch(c, 8, nil, func() int { computes++; return 80 }); v != 80 {
+				t.Fatalf("fetch(8) = %d, want 80", v)
+			}
+			// Both now hit tier 1.
+			mode.fetch(c, 7, nil, func() int { computes++; return -1 })
+			mode.fetch(c, 8, nil, func() int { computes++; return -1 })
 
-	st := c.Stats()
-	if st.Hits != 2 || st.TierHits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want hits=2 tierHits=1 misses=1", st)
-	}
-	if computes != 1 || loads != 2 || stores != 1 {
-		t.Fatalf("computes=%d loads=%d stores=%d, want 1/2/1", computes, loads, stores)
-	}
-	if disk[8] != 80 {
-		t.Fatalf("tier 2 not filled after compute: %v", disk)
+			st := c.Stats()
+			if st.Hits != 2 || st.TierHits != 1 || st.Misses != 1 {
+				t.Fatalf("stats = %+v, want hits=2 tierHits=1 misses=1", st)
+			}
+			if computes != 1 || loads != 2 || stores != 1 {
+				t.Fatalf("computes=%d loads=%d stores=%d, want 1/2/1", computes, loads, stores)
+			}
+			if disk[8] != 80 {
+				t.Fatalf("tier 2 not filled after compute: %v", disk)
+			}
+		})
 	}
 }
 
 func TestTier2ValueValidated(t *testing.T) {
-	c := New[int, int](4, nil)
-	c.SetTier2(
-		func(k int) (int, bool) { return 666, true }, // corrupt/stale tier-2 value
-		nil,
-	)
-	v := c.Do(1, func(v int) bool { return v == 42 }, func() int { return 42 })
-	if v != 42 {
-		t.Fatalf("Do = %d; invalid tier-2 value must fall through to compute", v)
+	const stale = 666 // corrupt/stale tier-2 value
+	for _, mode := range tierModes {
+		t.Run(mode.name, func(t *testing.T) {
+			c := New[int, int](4, nil)
+			valid := func(v int) bool { return v == 42 }
+			c.SetTier2(func(k int) (int, bool) {
+				if mode.name == "Do" {
+					return stale, true // Do's validator must reject it
+				}
+				return stale, valid(stale) // Get trusts the tier's own decode check
+			}, nil)
+			if v := mode.fetch(c, 1, valid, func() int { return 42 }); v != 42 {
+				t.Fatalf("fetch = %d; invalid tier-2 value must fall through to compute", v)
+			}
+			st := c.Stats()
+			if st.TierHits != 0 || st.Misses != 1 {
+				t.Fatalf("stats = %+v, want the rejected tier-2 load counted as a miss", st)
+			}
+		})
 	}
-	st := c.Stats()
-	if st.TierHits != 0 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want the rejected tier-2 load counted as a recompute", st)
+}
+
+// TestDoWaiterRetriesAfterPanic checks that callers coalesced onto a
+// computation that panics do not share its zero value: they retry and
+// compute for themselves.
+func TestDoWaiterRetriesAfterPanic(t *testing.T) {
+	c := New[int, *int](8, nil)
+	started, release, ownerDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(ownerDone)
+		defer func() { recover() }()
+		c.Do(1, nil, func() *int {
+			close(started)
+			<-release
+			panic("compute failed")
+		})
+	}()
+	<-started
+
+	const waiters = 4
+	results := make(chan *int, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			results <- c.Do(1, nil, func() *int { v := 5; return &v })
+		}()
+	}
+	// Give the waiters time to block on the owner's flight.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	<-ownerDone
+	for i := 0; i < waiters; i++ {
+		if v := <-results; v == nil || *v != 5 {
+			t.Fatalf("waiter got %v after the owner panicked, want a recomputed 5", v)
+		}
 	}
 }
 

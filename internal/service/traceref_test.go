@@ -73,6 +73,30 @@ func TestResolveTraceMatchesGeneratedEvents(t *testing.T) {
 	}
 }
 
+// TestResolveTraceBoundsStore checks that client-chosen event counts,
+// each a distinct store key, cannot make the daemon retain traces
+// without bound: once the store's tables are full, further distinct
+// refs leave its Len flat.
+func TestResolveTraceBoundsStore(t *testing.T) {
+	s, store, _ := newRefServer(t)
+	resolve := func(from, to int) int {
+		for events := from; events < to; events++ {
+			if _, err := s.ResolveTrace(TraceRef{Program: "gs", Variant: "train", Events: events}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return store.Len()
+	}
+	const batch = 100
+	first := resolve(1000, 1000+batch)
+	if first >= batch {
+		t.Fatalf("store holds %d traces after %d distinct refs; want a bound below that", first, batch)
+	}
+	if second := resolve(1000+batch, 1000+2*batch); second > first {
+		t.Fatalf("store grew from %d to %d traces over %d more distinct refs", first, second, batch)
+	}
+}
+
 func TestResolveTraceErrors(t *testing.T) {
 	s, _, _ := newRefServer(t)
 	cases := []TraceRef{

@@ -95,48 +95,11 @@ type confKey struct {
 // variant, n) under a 2^tableLog2-entry stride predictor, simulating
 // them on first request. Concurrent requests for the same key share one
 // simulation; the underlying load trace comes from (and is retained by)
-// the same store.
+// the same store. A disk-tier hit skips not only the stride-predictor
+// simulation but the load-trace generation feeding it.
 func (s *Store) ConfStreams(p *workload.LoadProgram, v workload.Variant, n, tableLog2 int) *ConfStreams {
 	key := confKey{Key: LoadKey(p.Name, v, n), TableLog2: tableLog2}
-	s.mu.Lock()
-	if s.confs == nil {
-		s.confs = make(map[confKey]*flight[*ConfStreams])
-	}
-	if f, ok := s.confs[key]; ok {
-		s.mu.Unlock()
-		s.hits.Add(1)
-		<-f.done
-		return f.val
-	}
-	f := &flight[*ConfStreams]{done: make(chan struct{})}
-	s.confs[key] = f
-	disk := s.disk
-	s.mu.Unlock()
-
-	if cs, ok := s.diskLoadConf(disk, key); ok {
-		// A disk hit skips not only the stride-predictor simulation but
-		// the load-trace generation feeding it.
-		s.tierHits.Add(1)
-		f.val = cs
-	} else {
-		s.misses.Add(1)
-		f.val = BuildConfStreams(s.Loads(p, v, n), tableLog2)
-		if disk != nil {
-			disk.Put(confKind, confVersion, confAddress(key), encodeConfStreams(f.val))
-		}
-	}
-	// Four bit streams cover every load twice (global + segment view).
-	s.bytes.Add(uint64(4 * f.val.Loads() / 8))
-	close(f.done)
-	return f.val
-}
-
-// ConfStreamsByName is ConfStreams for a benchmark looked up in the
-// load suite.
-func (s *Store) ConfStreamsByName(program string, v workload.Variant, n, tableLog2 int) (*ConfStreams, error) {
-	p, err := workload.LoadByName(program)
-	if err != nil {
-		return nil, err
-	}
-	return s.ConfStreams(p, v, n, tableLog2), nil
+	return s.confs.Do(key, nil, func() *ConfStreams {
+		return BuildConfStreams(s.Loads(p, v, n), tableLog2)
+	})
 }

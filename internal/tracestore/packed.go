@@ -12,10 +12,12 @@
 //   - Store is a process-wide content-addressed cache of generated
 //     traces. Synthetic workloads are deterministic functions of
 //     (program, variant, event count) — the variant folds in the seed
-//     jitter — so that tuple is the content address, and generation runs
-//     at most once per address (singleflight): concurrent requesters for
-//     the same trace block on the one in-flight generation instead of
-//     duplicating it.
+//     jitter — so that tuple is the content address. The store's tables
+//     are bounded memo.Cache LRUs, so generation runs at most once per
+//     resident address (singleflight): concurrent requesters for the
+//     same trace block on the one in-flight generation instead of
+//     duplicating it, and an evicted trace regenerates (or reloads from
+//     the disk tier) on its next request.
 //
 // Packed traces and cached event slices are immutable after
 // construction; readers share them freely without copying.

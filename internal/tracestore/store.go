@@ -2,10 +2,8 @@ package tracestore
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"fsmpredict/internal/disktier"
+	"fsmpredict/internal/memo"
 	"fsmpredict/internal/trace"
 	"fsmpredict/internal/workload"
 )
@@ -41,48 +39,35 @@ func LoadKey(program string, v workload.Variant, events int) Key {
 	return Key{Kind: "load", Program: program, Variant: v.String(), Events: events}
 }
 
-// flight is one singleflight slot: the first requester generates, every
-// later requester blocks on done and shares the result.
-type flight[T any] struct {
-	done chan struct{}
-	val  T
-}
-
-// Stats is a snapshot of a store's counters.
-type Stats struct {
-	// Hits counts lookups served from an existing (or in-flight) entry.
-	Hits uint64
-	// TierHits counts lookups served by the disk tier instead of a
-	// regeneration.
-	TierHits uint64
-	// Misses counts lookups that had to generate.
-	Misses uint64
-	// Bytes is the estimated retained size of all stored traces.
-	Bytes uint64
-}
+// storeEntries bounds each of the store's three tables (branch traces,
+// load traces, confidence streams). The default paper grid touches 12
+// branch, 10 load and 10 confidence keys, so the bound never evicts in
+// the figure runs; it caps what a daemon's clients can make the store
+// retain, since every distinct event count is a new key.
+const storeEntries = 32
 
 // Store is a process-wide content-addressed trace cache with
-// singleflight generation. The zero value is not usable; call NewStore.
-// Entries live for the life of the store — the workload suite is a small
-// closed set, so there is no eviction.
+// singleflight generation and an optional disk tier, built on three
+// memo.Cache tables. The zero value is not usable; call NewStore. Each
+// table is an LRU bounded by storeEntries; an evicted trace is
+// regenerated (or reloaded from the disk tier) on its next request.
 type Store struct {
-	mu       sync.Mutex
-	branches map[Key]*flight[*Packed]
-	loads    map[Key]*flight[[]trace.LoadEvent]
-	confs    map[confKey]*flight[*ConfStreams] // lazily allocated
-	disk     *disktier.Store                   // optional second tier
-
-	hits     atomic.Uint64
-	tierHits atomic.Uint64
-	misses   atomic.Uint64
-	bytes    atomic.Uint64
+	branches *memo.Cache[Key, *Packed]
+	loads    *memo.Cache[Key, []trace.LoadEvent]
+	confs    *memo.Cache[confKey, *ConfStreams]
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		branches: make(map[Key]*flight[*Packed]),
-		loads:    make(map[Key]*flight[[]trace.LoadEvent]),
+		branches: memo.New[Key, *Packed](storeEntries, (*Packed).Bytes),
+		loads: memo.New[Key, []trace.LoadEvent](storeEntries, func(l []trace.LoadEvent) uint64 {
+			return uint64(16 * len(l))
+		}),
+		// Four bit streams cover every load twice (global + segment view).
+		confs: memo.New[confKey, *ConfStreams](storeEntries, func(c *ConfStreams) uint64 {
+			return uint64(4 * c.Loads() / 8)
+		}),
 	}
 }
 
@@ -90,94 +75,31 @@ func NewStore() *Store {
 // use, so repeated runs in one process share generated traces.
 var Shared = NewStore()
 
-// Stats snapshots the hit/miss/bytes counters.
-func (s *Store) Stats() Stats {
-	return Stats{
-		Hits:     s.hits.Load(),
-		TierHits: s.tierHits.Load(),
-		Misses:   s.misses.Load(),
-		Bytes:    s.bytes.Load(),
-	}
+// Stats snapshots the hit/miss/bytes counters, summed over the store's
+// three tables.
+func (s *Store) Stats() memo.Stats {
+	return s.branches.Stats().Add(s.loads.Stats()).Add(s.confs.Stats())
 }
 
-// Len reports how many traces the store holds (including in-flight
-// generations).
+// Len reports how many traces the store holds.
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.branches) + len(s.loads) + len(s.confs)
+	return s.branches.Len() + s.loads.Len() + s.confs.Len()
 }
 
 // Branches returns the packed branch trace of (program, variant, n),
 // generating and packing it on first request. Concurrent requests for
 // the same key share one generation.
 func (s *Store) Branches(p *workload.Program, v workload.Variant, n int) *Packed {
-	key := BranchKey(p.Name, v, n)
-	s.mu.Lock()
-	if f, ok := s.branches[key]; ok {
-		s.mu.Unlock()
-		s.hits.Add(1)
-		<-f.done
-		return f.val
-	}
-	f := &flight[*Packed]{done: make(chan struct{})}
-	s.branches[key] = f
-	disk := s.disk
-	s.mu.Unlock()
-
-	if packed, ok := s.diskLoadPacked(disk, key); ok {
-		s.tierHits.Add(1)
-		f.val = packed
-	} else {
-		s.misses.Add(1)
-		f.val = Pack(p.Generate(v, n))
-		if disk != nil {
-			disk.Put(traceKind, traceVersion, branchAddress(key), encodePacked(f.val))
-		}
-	}
-	if disk != nil {
-		// The run index rides the same singleflight slot: loaded (and
-		// validated against the trace words) from the tier when present,
-		// otherwise scanned once here and persisted for the next process.
-		if runs, ok := s.diskLoadSpans(disk, key, f.val); ok {
-			f.val.seedSpanIndex(runs)
-		} else {
-			disk.Put(spanKind, spanVersion, spanAddress(key), encodeSpanIndex(f.val.SpanIndex()))
-		}
-	}
-	s.bytes.Add(f.val.Bytes())
-	close(f.done)
-	return f.val
-}
-
-// BranchesByName is Branches for a benchmark looked up in the suite.
-func (s *Store) BranchesByName(program string, v workload.Variant, n int) (*Packed, error) {
-	p, err := workload.ByName(program)
-	if err != nil {
-		return nil, err
-	}
-	return s.Branches(p, v, n), nil
+	return s.branches.Do(BranchKey(p.Name, v, n), nil, func() *Packed {
+		return Pack(p.Generate(v, n))
+	})
 }
 
 // Loads returns the load-value trace of (program, variant, n),
 // generating it on first request. The returned slice is shared and must
 // be treated as immutable.
 func (s *Store) Loads(p *workload.LoadProgram, v workload.Variant, n int) []trace.LoadEvent {
-	key := LoadKey(p.Name, v, n)
-	s.mu.Lock()
-	if f, ok := s.loads[key]; ok {
-		s.mu.Unlock()
-		s.hits.Add(1)
-		<-f.done
-		return f.val
-	}
-	f := &flight[[]trace.LoadEvent]{done: make(chan struct{})}
-	s.loads[key] = f
-	s.mu.Unlock()
-	s.misses.Add(1)
-
-	f.val = p.Generate(v, n)
-	s.bytes.Add(uint64(16 * len(f.val)))
-	close(f.done)
-	return f.val
+	return s.loads.Do(LoadKey(p.Name, v, n), nil, func() []trace.LoadEvent {
+		return p.Generate(v, n)
+	})
 }
